@@ -26,7 +26,6 @@ from .core import (
     TraceRecord,
     cbo_step,
     consensus_point,
-    corrector_step,
     draw_step_noise,
     init_ensemble,
     mean_pairwise_sq,

@@ -9,7 +9,6 @@ treat them interchangeably.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,19 +50,6 @@ class ReferenceSolution:
         return out
 
 
-def _compositions(d: int, total: int) -> np.ndarray:
-    """Integer vectors of length d summing to total, lexicographically
-    ascending."""
-    if d == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for lead in range(total + 1):
-        rest = _compositions(d - 1, total - lead)
-        col = np.full((len(rest), 1), lead, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
-
-
 def simplex_lattice(d: int, step: float) -> np.ndarray:
     """All simplex points with coordinates on a step-width lattice.
 
@@ -79,17 +65,17 @@ def simplex_lattice(d: int, step: float) -> np.ndarray:
     k = round(k_float)
     if abs(k_float - k) > 1e-9:
         raise ConfigurationError(f"1/step = {k_float!r} is not an integer")
-    return _compositions(d, k).astype(float) / k
-
-
-def _eval_chunked(objective, points: np.ndarray, workers: int) -> np.ndarray:
-    chunks = [points[i : i + _EVAL_CHUNK] for i in range(0, len(points), _EVAL_CHUNK)]
-    if workers <= 1 or len(chunks) == 1:
-        parts = [objective.eval_many(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(objective.eval_many, chunks))
-    return np.concatenate(parts)
+    # Integer compositions of k, one column at a time: each prefix with sum
+    # s gets the next coordinate 0..k-s as a contiguous ascending block, so
+    # rows stay lexicographic; the last column is what remains of k.
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(d - 1):
+        counts = k - sums + 1
+        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        prefixes = np.hstack([np.repeat(prefixes, counts, axis=0), nxt[:, None]])
+        sums = np.repeat(sums, counts) + nxt
+    return np.hstack([prefixes, (k - sums)[:, None]]).astype(float) / k
 
 
 def grid_search_simplex(
@@ -98,13 +84,17 @@ def grid_search_simplex(
     """Exhaustively minimize over the simplex lattice.
 
     Enforces d <= 4 (the lattice grows combinatorially).  Ties are broken
-    toward the lexicographically smallest weight vector; the reduction is
-    independent of the worker count.
+    toward the lexicographically smallest weight vector.  Points are
+    evaluated in fixed chunks on the calling thread; ``workers`` is
+    validated but does not change execution or the result.
     """
     if int(d) != d or not (1 <= d <= MAX_GRID_DIM):
         raise ConfigurationError(f"grid search supports 1 <= d <= {MAX_GRID_DIM}")
+    if int(workers) != workers or workers < 1:
+        raise ConfigurationError("workers must be a positive integer")
     points = simplex_lattice(d, step)
-    values = _eval_chunked(objective, points, workers)
+    chunks = range(0, len(points), _EVAL_CHUNK)
+    values = np.concatenate([objective.eval_many(points[i : i + _EVAL_CHUNK]) for i in chunks])
     # argmin returns the first minimum; rows are in lexicographic order.
     idx = int(np.argmin(values))
     return ReferenceSolution(

@@ -5,7 +5,8 @@ comments allowed); explicit flags override file values, which override
 built-in defaults.  The resolved config is echoed into the command's
 ``*_meta.txt`` artifact.  Execution-only knobs (``--out``, ``--workers``,
 ``--config``) are deliberately excluded from that echo so artifacts stay
-byte-identical across worker counts and output locations.
+byte-identical across worker counts and output locations.  A config key
+that no command reads is an error.
 
 All artifacts land inside the ``--out`` directory; nothing is written
 anywhere else.  Exit status is 0 on success, 1 on any library error, and
@@ -25,6 +26,22 @@ from .core import CboParams, NoiseMode, init_ensemble, run, write_trace_csv
 from .errors import CbOptError, ConfigurationError
 from .metaio import fmt_float, fmt_vector, parse_metadata, write_metadata
 
+
+def _flag(raw: str) -> bool:
+    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError("expected true/false, 1/0 or yes/no")
+    return raw.lower() in ("true", "1", "yes")
+
+
+def _one_of(*choices):
+    def cast(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return raw
+
+    return cast
+
+
 # (config key, argparse dest, caster, default)
 _SOLVER_OPTS = [
     ("lambda", "lam", float, 1.0),
@@ -34,13 +51,13 @@ _SOLVER_OPTS = [
     ("particles", "particles", int, 100),
     ("max_iters", "max_iters", int, 10_000),
     ("tol", "tol", float, 1e-8),
-    ("noise", "noise", str, "common"),
+    ("noise", "noise", _one_of("common", "independent"), "common"),
     ("seed", "seed", int, 0),
     ("init_std", "init_std", float, 1.0),
 ]
 
 _PROBLEM_OPTS = [
-    ("objective", "objective", str, "sharpe"),
+    ("objective", "objective", _one_of("sharpe", "sphere", "rastrigin"), "sharpe"),
     ("stats", "stats", str, None),
     ("dim", "dim", int, None),
     ("projector", "projector", str, None),
@@ -61,6 +78,9 @@ def _resolve(args, spec) -> dict:
     from_file: dict[str, str] = {}
     if getattr(args, "config", None):
         from_file = parse_metadata(Path(args.config).read_text())
+    unknown = sorted(set(from_file) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     resolved = {}
     for key, dest, caster, default in spec:
         flag_value = getattr(args, dest, None)
@@ -88,11 +108,6 @@ def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _workers(args) -> int:
-    w = getattr(args, "workers", None)
-    return 1 if w is None else max(1, int(w))
 
 
 def _derived_seeds(seed: int, n: int) -> list[int]:
@@ -206,7 +221,7 @@ def cmd_ingest(args) -> int:
 
 
 _SOLVE_OPTS = _SOLVER_OPTS + _PROBLEM_OPTS + [
-    ("reference", "reference", str, "auto"),
+    ("reference", "reference", _one_of("auto", "none"), "auto"),
     ("grid_step", "grid_step", float, 0.01),
     ("thin", "thin", int, 1),
 ]
@@ -215,7 +230,7 @@ _SOLVE_OPTS = _SOLVER_OPTS + _PROBLEM_OPTS + [
 def cmd_solve(args) -> int:
     cfg = _resolve(args, _SOLVE_OPTS)
     out = _out_dir(args)
-    workers = _workers(args)
+    workers = args.workers or 1
     objective, projector, stats = _build_problem(cfg)
     (solve_seed,) = _derived_seeds(cfg["seed"], 1)
     params = _cbo_params(cfg, solve_seed)
@@ -267,14 +282,14 @@ _FRONTIER_OPTS = _SOLVER_OPTS + [
     ("stats", "stats", str, None),
     ("rf", "rf", float, None),
     ("samples", "samples", int, 10_000),
-    ("svg", "svg", bool, False),
+    ("svg", "svg", _flag, False),
 ]
 
 
 def cmd_frontier(args) -> int:
     cfg = _resolve(args, _FRONTIER_OPTS)
     out = _out_dir(args)
-    workers = _workers(args)
+    workers = args.workers or 1
     stats = _load_stats(cfg)
     projector = projections.simplex(stats.dim)
     objective = objectives.neg_sharpe(stats)
@@ -327,15 +342,19 @@ _DIAGNOSE_OPTS = _SOLVER_OPTS + _PROBLEM_OPTS + [
     ("runs", "runs", int, 100),
     ("horizon", "horizon", int, 50),
     ("betas", "betas", str, "0,1,10,100,1000"),
-    ("reference", "reference", str, "auto"),
+    ("reference", "reference", _one_of("auto", "none"), "auto"),
     ("grid_step", "grid_step", float, 0.01),
 ]
+
+# Keys any command reads, so one config file can drive the whole pipeline.
+_ALL_SPECS = (_SYNTH_OPTS, _INGEST_OPTS, _SOLVE_OPTS, _FRONTIER_OPTS, _DIAGNOSE_OPTS)
+_CONFIG_KEYS = {opt[0] for spec in _ALL_SPECS for opt in spec}
 
 
 def cmd_diagnose(args) -> int:
     cfg = _resolve(args, _DIAGNOSE_OPTS)
     out = _out_dir(args)
-    workers = _workers(args)
+    workers = args.workers or 1
     objective, projector, _stats = _build_problem(cfg)
     decay_seed, laplace_seed, solve_seed = _derived_seeds(cfg["seed"], 3)
     params = _cbo_params(cfg, solve_seed)
@@ -465,7 +484,9 @@ def _add_common(sp) -> None:
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out", help="output directory (default: current)")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int, help="worker threads (results do not depend on this)")
+    sp.add_argument(
+        "--workers", type=int, help="accepted for compatibility; no longer changes execution"
+    )
 
 
 def _add_solver(sp) -> None:
@@ -543,6 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except CbOptError as exc:
         print(f"error: {exc}", file=sys.stderr)

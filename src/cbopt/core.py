@@ -45,7 +45,6 @@ __all__ = [
     "consensus_point",
     "draw_step_noise",
     "predictor_step",
-    "corrector_step",
     "cbo_step",
     "run",
     "mean_pairwise_sq",
@@ -116,7 +115,8 @@ class StepNoise:
     """Noise drawn for one predictor step.
 
     ``values`` has shape ``(d,)`` in COMMON mode (broadcast over particles)
-    and ``(N, d)`` in INDEPENDENT mode.
+    and ``(N, d)`` in INDEPENDENT mode; a batched step over R runs adds a
+    leading run axis.
     """
 
     mode: NoiseMode
@@ -125,7 +125,11 @@ class StepNoise:
 
 @dataclass
 class Ensemble:
-    """Particle ensemble with a coherent objective-value cache."""
+    """Particle ensemble with a coherent objective-value cache.
+
+    Positions are ``(N, d)``, or ``(R, N, d)`` for R runs stepped together;
+    objective values drop the last axis.
+    """
 
     positions: np.ndarray
     objective_values: np.ndarray
@@ -134,9 +138,9 @@ class Ensemble:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         vals = np.asarray(self.objective_values, dtype=float)
-        if pos.ndim != 2 or pos.shape[0] < 2:
-            raise ConfigurationError("positions must be an (N, d) array with N >= 2")
-        if vals.shape != (pos.shape[0],):
+        if pos.ndim not in (2, 3) or pos.shape[-2] < 2:
+            raise ConfigurationError("positions must be (N, d) or (R, N, d) with N >= 2")
+        if vals.shape != pos.shape[:-1]:
             raise ConfigurationError("objective_values must have one entry per particle")
         if not np.all(np.isfinite(pos)):
             raise NumericDomainError("ensemble positions must be finite")
@@ -145,11 +149,11 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
     @property
     def n_particles(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -246,19 +250,22 @@ class RunResult:
     best_value: float
 
 
-def mean_pairwise_sq(positions) -> float:
+def mean_pairwise_sq(positions):
     """Mean of ``||w_i - w_j||^2`` over unordered particle pairs.
 
     Uses the center-of-mass identity
     ``sum_{i<j} ||w_i - w_j||^2 = N * sum_i ||w_i - com||^2``,
-    so the cost is O(N d) instead of O(N^2 d).
+    so the cost is O(N d) instead of O(N^2 d).  An ``(N, d)`` input gives
+    a float; ``(R, N, d)`` gives one value per run.
     """
     pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
-    if n < 2:
-        raise ConfigurationError("need at least two particles")
-    dev = pos - pos.mean(axis=0)
-    return 2.0 * float((dev * dev).sum()) / (n - 1)
+    if pos.ndim not in (2, 3) or pos.shape[-2] < 2:
+        raise ConfigurationError("need (N, d) or (R, N, d) positions with N >= 2")
+    n = pos.shape[-2]
+    dev = pos - pos.mean(axis=-2, keepdims=True)
+    sq = (dev * dev).reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
+    out = 2.0 * sq / (n - 1)
+    return float(out) if pos.ndim == 2 else out
 
 
 def init_ensemble(
@@ -304,7 +311,8 @@ def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
     Weights are ``exp(-beta * (L_i - min_j L_j))``: the best particle always
     has weight 1, so the normalizer is >= 1 for any beta.  ``beta = 0``
     yields the plain arithmetic mean.  The result is a convex combination
-    of particle positions and therefore lies in their convex hull.
+    of particle positions and therefore lies in their convex hull.  A
+    batched ensemble gives one ``(R, d)`` row per run.
     """
     beta = float(beta)
     if not (beta >= 0) or not math.isfinite(beta):
@@ -312,15 +320,22 @@ def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
     values = ensemble.objective_values
     if not np.all(np.isfinite(values)):
         raise NumericDomainError("non-finite objective values in consensus computation")
-    weights = np.exp(-beta * (values - values.min()))
-    return (weights @ ensemble.positions) / weights.sum()
+    w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
+    return np.matmul(w[..., None, :], ensemble.positions)[..., 0, :] / w.sum(-1)[..., None]
 
 
-def draw_step_noise(params: CboParams, dim: int, rng: np.random.Generator) -> StepNoise:
-    """Draw one step's standard-normal noise in the configured mode."""
-    if params.noise_mode is NoiseMode.COMMON:
-        return StepNoise(NoiseMode.COMMON, rng.standard_normal(dim))
-    return StepNoise(NoiseMode.INDEPENDENT, rng.standard_normal((params.n_particles, dim)))
+def draw_step_noise(params: CboParams, dim: int, rng) -> StepNoise:
+    """Draw one step's standard-normal noise in the configured mode.
+
+    ``rng`` is one ``Generator``, or a sequence of them with one per run;
+    the values then gain a leading run axis, row r drawn from ``rng[r]``.
+    """
+    shape = (dim,) if params.noise_mode is NoiseMode.COMMON else (params.n_particles, dim)
+    if isinstance(rng, np.random.Generator):
+        values = rng.standard_normal(shape)
+    else:
+        values = np.stack([g.standard_normal(shape) for g in rng])
+    return StepNoise(params.noise_mode, values)
 
 
 def _check_noise(ensemble: Ensemble, params: CboParams, noise: StepNoise) -> None:
@@ -328,11 +343,8 @@ def _check_noise(ensemble: Ensemble, params: CboParams, noise: StepNoise) -> Non
         raise ConfigurationError(
             f"noise mode {noise.mode.value} does not match params ({params.noise_mode.value})"
         )
-    expected = (
-        (ensemble.dim,)
-        if noise.mode is NoiseMode.COMMON
-        else (ensemble.n_particles, ensemble.dim)
-    )
+    shape = ensemble.positions.shape
+    expected = shape[:-2] + (shape[-1],) if noise.mode is NoiseMode.COMMON else shape
     if np.asarray(noise.values).shape != expected:
         raise ConfigurationError(
             f"noise shape {np.asarray(noise.values).shape} does not match {expected}"
@@ -345,26 +357,25 @@ def predictor_step(
     """Propose raw (unconstrained) positions for the next iterate.
 
     ``w_i - lam*h*(w_i - consensus) + sigma*sqrt(h)*(w_i - consensus)*eta``
-    evaluated rowwise; the input ensemble is not mutated.
+    evaluated rowwise; the input ensemble is not mutated.  A batched
+    ensemble takes one consensus row per run.
     """
     consensus = np.asarray(consensus, dtype=float)
-    if consensus.shape != (ensemble.dim,):
+    if consensus.shape != ensemble.positions.shape[:-2] + (ensemble.dim,):
         raise ConfigurationError("consensus point has the wrong dimension")
     _check_noise(ensemble, params, noise)
-    dev = ensemble.positions - consensus
+    dev = ensemble.positions - consensus[..., None, :]
+    eta = noise.values if noise.mode is NoiseMode.INDEPENDENT else noise.values[..., None, :]
     return (
         ensemble.positions
         - (params.lam * params.h) * dev
-        + (params.sigma * math.sqrt(params.h)) * dev * noise.values
+        + (params.sigma * math.sqrt(params.h)) * dev * eta
     )
 
 
-def corrector_step(raw_positions, projector) -> np.ndarray:
-    """Project each proposed row back onto the feasible set."""
-    return projector.project_rows(raw_positions)
-
-
 def _snapshot(ensemble: Ensemble, beta: float) -> StepRecord:
+    if ensemble.positions.ndim != 2:
+        raise ConfigurationError("a step record needs a single (N, d) run")
     cons = consensus_point(ensemble, beta)
     pos = ensemble.positions
     com = pos.mean(axis=0)
@@ -382,18 +393,25 @@ def _advance(
     params: CboParams,
     projector,
     objective,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[Ensemble, StepNoise]:
-    """predictor -> corrector -> cache refresh; returns the noise used."""
+    """predictor -> corrector -> cache refresh; returns the noise used.
+
+    For R stacked runs ``rng`` holds one Generator per run, and projection
+    and evaluation see all rows as one ``(R*N, d)`` block.
+    """
     noise = draw_step_noise(params, ensemble.dim, rng)
     raw = predictor_step(ensemble, consensus, params, noise)
-    positions = corrector_step(raw, projector)
+    positions = projector.project_rows(raw.reshape(-1, ensemble.dim))
     values = objective.eval_many(positions)
     if not np.all(np.isfinite(values)):
         raise NumericDomainError(
             f"non-finite objective value at iteration {ensemble.iteration + 1}"
         )
-    return Ensemble(positions, values, ensemble.iteration + 1), noise
+    advanced = Ensemble(
+        positions.reshape(raw.shape), values.reshape(raw.shape[:-1]), ensemble.iteration + 1
+    )
+    return advanced, noise
 
 
 def cbo_step(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,29 +182,6 @@ class DecayReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def _decay_one_run(
-    objective, projector, params: CboParams, horizon: int, child_seed, init_mean, init_std
-):
-    init_ss, noise_ss = child_seed.spawn(2)
-    ens = init_ensemble(
-        projector.dim, params, init_mean, init_std, projector, objective, seed=init_ss
-    )
-    rng = np.random.default_rng(noise_ss)
-    pair = np.empty(horizon + 1)
-    cons_sq = np.empty(horizon + 1)
-    w0 = ens.positions
-    sum_w0 = w0.sum(axis=0)
-    sum_sq0 = float((w0 * w0).sum())
-    for n in range(horizon + 1):
-        pair[n] = mean_pairwise_sq(ens.positions)
-        cons = consensus_point(ens, params.beta)
-        dev = ens.positions - cons
-        cons_sq[n] = float((dev * dev).sum(axis=1).mean())
-        if n < horizon:
-            ens, _ = _advance(ens, cons, params, projector, objective, rng)
-    return pair, cons_sq, sum_w0, sum_sq0
-
-
 def decay_experiment(
     objective,
     projector,
@@ -221,8 +197,10 @@ def decay_experiment(
     ``runs`` independent seeded trajectories and compare them with the
     geometric envelope.
 
-    Aggregation order is fixed by run index, and every run draws from its
-    own spawned seed, so the report is identical for any ``workers``.
+    Each run draws its start and noise from its own spawned seed; all runs
+    advance together, one batched step per iteration, and are summed in
+    run-index order.  ``workers`` is validated but changes nothing, so the
+    report is identical for any value.
     """
     if int(runs) != runs or runs < 1:
         raise ConfigurationError("runs must be a positive integer")
@@ -231,30 +209,30 @@ def decay_experiment(
     if int(workers) != workers or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     report = check_params(params)
-    children = np.random.SeedSequence(seed).spawn(runs)
+    seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(runs)]
+    starts = [
+        init_ensemble(projector.dim, params, init_mean, init_std, projector, objective, seed=s)
+        for s, _ in seeds
+    ]
+    rngs = [np.random.default_rng(s) for _, s in seeds]
+    w0 = np.stack([e.positions for e in starts])
+    ens = Ensemble(w0, np.stack([e.objective_values for e in starts]))
+    run_pair = np.empty((runs, horizon + 1))
+    run_cons_sq = np.empty((runs, horizon + 1))
+    for n in range(horizon + 1):
+        run_pair[:, n] = mean_pairwise_sq(ens.positions)
+        cons = consensus_point(ens, params.beta)
+        dev = ens.positions - cons[:, None, :]
+        run_cons_sq[:, n] = (dev * dev).sum(axis=-1).mean(axis=-1)
+        if n < horizon:
+            ens, _ = _advance(ens, cons, params, projector, objective, rngs)
 
-    def one(i: int):
-        return _decay_one_run(
-            objective, projector, params, horizon, children[i], init_mean, init_std
-        )
-
-    if workers == 1:
-        results = [one(i) for i in range(runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(runs)))
-
-    pair = np.zeros(horizon + 1)
-    cons_sq = np.zeros(horizon + 1)
-    sum_w0 = np.zeros(projector.dim)
-    sum_sq0 = 0.0
-    for p, c, sw, ss in results:
-        pair += p
-        cons_sq += c
-        sum_w0 += sw
-        sum_sq0 += ss
-    pair /= runs
-    cons_sq /= runs
+    # np.add.accumulate adds the runs one at a time in run-index order, so
+    # the totals do not depend on how the runs were batched.
+    pair = np.add.accumulate(run_pair)[-1] / runs
+    cons_sq = np.add.accumulate(run_cons_sq)[-1] / runs
+    sum_w0 = np.add.accumulate(w0.sum(axis=1))[-1]
+    sum_sq0 = float(np.add.accumulate((w0 * w0).reshape(runs, -1).sum(axis=1))[-1])
     total_particles = runs * params.n_particles
     mean_w0 = sum_w0 / total_particles
     initial_variance = sum_sq0 / total_particles - float(mean_w0 @ mean_w0)
@@ -310,6 +288,8 @@ def laplace_sweep(ensemble: Ensemble, betas) -> list[LaplacePoint]:
         raise ConfigurationError("betas must be finite and >= 0")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ConfigurationError("betas must be strictly ascending")
+    if ensemble.positions.ndim != 2:
+        raise ConfigurationError("laplace_sweep needs a single (N, d) run")
     best = ensemble.positions[int(np.argmin(ensemble.objective_values))]
     out = []
     for beta in betas:

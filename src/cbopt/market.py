@@ -14,7 +14,6 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,8 +321,9 @@ def sample_frontier(
     """Score ``n_samples`` uniformly distributed simplex portfolios.
 
     Uniformity comes from normalized i.i.d. exponential spacings.  Sampling
-    is chunked with one spawned seed per chunk and merged in chunk order,
-    so results are identical for any ``workers`` value.
+    is chunked with one spawned seed per chunk and merged in chunk order on
+    the calling thread; ``workers`` is validated but does not change
+    execution, so results are identical for any value.
     """
     if int(n_samples) != n_samples or n_samples < 0:
         raise ConfigurationError("n_samples must be a nonnegative integer")
@@ -335,21 +335,11 @@ def sample_frontier(
         return FrontierCloud(np.empty((0, d)), empty, empty, empty)
 
     n_chunks = (n_samples + _FRONTIER_CHUNK - 1) // _FRONTIER_CHUNK
-    sizes = [
-        min(_FRONTIER_CHUNK, n_samples - i * _FRONTIER_CHUNK) for i in range(n_chunks)
-    ]
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def one_chunk(i: int) -> np.ndarray:
-        rng = np.random.default_rng(seeds[i])
-        spacings = rng.standard_exponential((sizes[i], d))
-        return spacings / spacings.sum(axis=1, keepdims=True)
-
-    if workers == 1 or n_chunks == 1:
-        parts = [one_chunk(i) for i in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
+    parts = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        size = min(_FRONTIER_CHUNK, n_samples - i * _FRONTIER_CHUNK)
+        spacings = np.random.default_rng(child).standard_exponential((size, d))
+        parts.append(spacings / spacings.sum(axis=1, keepdims=True))
     weights = np.vstack(parts)
     ret, risk, sharpe = _score_cloud(stats, weights, var_floor)
     return FrontierCloud(weights, ret, risk, sharpe)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def test_lattice_rows_are_simplex_points_and_sorted():
     np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
     as_tuples = [tuple(row) for row in pts]
     assert as_tuples == sorted(as_tuples)
+
+
+@pytest.mark.parametrize(
+    "d,k", [(1, 1), (1, 5), (2, 1), (2, 7), (3, 1), (3, 10), (4, 1), (4, 6), (5, 4)]
+)
+def test_lattice_matches_an_itertools_enumeration_row_for_row(d, k):
+    # itertools.product walks tuples in lexicographic order, so filtering it
+    # gives the expected rows in the order the grid search's tie-break needs
+    expected = [c for c in itertools.product(range(k + 1), repeat=d) if sum(c) == k]
+    pts = simplex_lattice(d, 1.0 / k)
+    rows = [tuple(int(x) for x in r) for r in np.rint(pts * k)]
+    assert set(rows) == set(expected)
+    assert rows == expected
+    np.testing.assert_array_equal(pts, np.array(expected, dtype=float) / k)
 
 
 def test_lattice_validation():

@@ -248,3 +248,71 @@ def test_missing_stats_file_is_reported_not_raised(tmp_path, capsys):
     assert main(["solve", "--stats", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _frontier_with_config(tmp_path, text, name="out"):
+    inputs = tmp_path / "in"
+    if not inputs.exists():
+        make_inputs(inputs)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    code = main(["frontier", "--config", str(cfg), "--stats", str(inputs / "stats.txt"),
+                 "--samples", "50", "--particles", "10", "--max-iters", "40",
+                 "--out", str(out)])
+    return code, out
+
+
+def test_config_svg_false_keeps_the_svg_off(tmp_path, capsys):
+    cases = (("false", False), ("No", False), ("0", False),
+             ("true", True), ("yes", True), ("1", True))
+    for i, (value, wanted) in enumerate(cases):
+        text = f"svg={value}\n"
+        code, out = _frontier_with_config(tmp_path, text, f"case{i}")
+        assert code == 0, text
+        assert (out / "frontier.svg").exists() is wanted, text
+    code, _ = _frontier_with_config(tmp_path, "svg=maybe\n", "bad")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "svg" in err
+
+
+@pytest.mark.parametrize("key,value", [("noise", "bogus"), ("reference", "maybe")])
+def test_config_value_outside_the_choices_is_an_error_line(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert main(["solve", "--config", str(cfg), "--objective", "sphere", "--dim", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_config_key_no_command_reads_is_rejected_by_name(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lamda=2\nparticles=10\n")
+    assert main(["solve", "--config", str(cfg), "--objective", "sphere", "--dim", "2",
+                 "--max-iters", "20", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lamda" in err
+
+
+def test_config_keys_of_other_commands_are_allowed(tmp_path):
+    # one file can drive the whole pipeline
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("assets=3\nrows=60\nsamples=40\nruns=2\nhorizon=3\nparticles=10\n"
+                   "max_iters=20\nsvg=false\n")
+    assert main(["solve", "--config", str(cfg), "--objective", "sphere", "--dim", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    meta = read_meta(tmp_path / "out" / "solve_meta.txt")
+    assert meta["particles"] == "10"
+    assert "samples" not in meta
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_an_error(tmp_path, capsys, workers):
+    assert main(["synth", "--assets", "2", "--rows", "20", "--workers", workers,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers" in err
+    assert not (tmp_path / "prices.csv").exists()
