@@ -161,6 +161,14 @@ def _build_problem(cfg: dict):
         )
     anchor = projector.project(np.zeros(dim))
     if kind == "sharpe":
+        if isinstance(projector, projections.BoxProjector) and np.all(
+            (projector.lo == 0) | (projector.hi == 0)
+        ):
+            raise ConfigurationError(
+                "the box has the zero portfolio as a corner (0 bounds every coordinate); "
+                "particles clipped there have zero variance and no Sharpe ratio, so use a "
+                "box that excludes 0"
+            )
         objective = objectives.neg_sharpe(stats)
     elif kind == "sphere":
         objective = objectives.sphere(anchor)
@@ -253,9 +261,10 @@ def cmd_solve(args) -> int:
     write_metadata(out / "solve_meta.txt", meta)
 
     final = result.trace.records[-1]
+    weights, value = fmt_vector(result.point), fmt_float(objective(result.point))
     result_items = {
-        "weights": fmt_vector(result.point),
-        "value": fmt_float(objective(result.point)),
+        "weights": weights,
+        "value": value,
         "iterations": final.iteration,
         "residual": fmt_float(final.residual),
         "best_value": fmt_float(result.best_value),
@@ -273,7 +282,7 @@ def cmd_solve(args) -> int:
         fh.write(summary)
 
     print(summary, end="")
-    print(f"solve: weights=[{fmt_vector(result.point)}] value={fmt_float(objective(result.point))}")
+    print(f"solve: weights=[{weights}] value={value}")
     print(f"solve: stopped at iteration {final.iteration} residual={fmt_float(final.residual)}")
     return 0
 
@@ -438,11 +447,12 @@ def _frontier_svg(cloud, intercept, slope, tangency) -> str:
     y_lo -= 0.05 * y_span
     y_hi += 0.05 * y_span
 
-    def sx(x: float) -> str:
-        return f"{pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad):.2f}"
+    # Pixel coordinates; elementwise, so one call maps the whole cloud.
+    def sx(x):
+        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
 
-    def sy(y: float) -> str:
-        return f"{height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad):.2f}"
+    def sy(y):
+        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -457,17 +467,15 @@ def _frontier_svg(cloud, intercept, slope, tangency) -> str:
         f'<text x="14" y="{height / 2:.0f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 14 {height / 2:.0f})">return</text>',
     ]
-    for i in range(len(cloud)):
-        parts.append(
-            f'<circle cx="{sx(float(cloud.risk[i]))}" cy="{sy(float(cloud.ret[i]))}" '
-            'r="1.5" fill="#4477aa" fill-opacity="0.45"/>'
-        )
+    circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1.5" fill="#4477aa" fill-opacity="0.45"/>'
+    parts += map(circle.format, sx(cloud.risk).tolist(), sy(cloud.ret).tolist())
     y_at_hi = intercept + slope * x_hi
     parts.append(
-        f'<line x1="{sx(0.0)}" y1="{sy(intercept)}" x2="{sx(x_hi)}" y2="{sy(y_at_hi)}" '
-        'stroke="#228833" stroke-width="1.5"/>'
+        f'<line x1="{sx(0.0):.2f}" y1="{sy(intercept):.2f}" x2="{sx(x_hi):.2f}" '
+        f'y2="{sy(y_at_hi):.2f}" stroke="#228833" stroke-width="1.5"/>'
     )
-    tx, ty = float(sx(t_risk)), float(sy(t_ret))
+    # The star is centred on the tangency point as drawn, i.e. rounded.
+    tx, ty = float(f"{sx(t_risk):.2f}"), float(f"{sy(t_ret):.2f}")
     star = []
     for k in range(10):
         radius = 9.0 if k % 2 == 0 else 3.8

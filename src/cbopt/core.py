@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import fmt_float
+from .metaio import fmt_float, fmt_rows
 
 __all__ = [
     "NoiseMode",
@@ -515,14 +515,13 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     if not trace.records:
         raise ConfigurationError("cannot write an empty trace")
     dim = trace.records[0].consensus.shape[0]
+    block = np.column_stack(
+        (trace.residuals(), trace.dispersions(), trace.best_values(), trace.consensus_points(),
+         trace.centers_of_mass(), trace.a_values(), trace.b_values())
+    )
     lines = [trace_csv_header(dim)]
-    for r in trace.records:
-        fields = [str(r.iteration), fmt_float(r.residual), fmt_float(r.dispersion)]
-        fields.append(fmt_float(r.best_value))
-        fields += [fmt_float(c) for c in r.consensus]
-        fields += [fmt_float(c) for c in r.center_of_mass]
-        fields += [fmt_float(r.a_n), fmt_float(r.b_n)]
-        fields.append("" if r.err_ref is None else fmt_float(r.err_ref))
-        lines.append(",".join(fields))
+    for r, body in zip(trace.records, fmt_rows(block)):
+        err = "" if r.err_ref is None else fmt_float(r.err_ref)
+        lines.append(f"{r.iteration},{body},{err}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -24,8 +24,8 @@ from .errors import (
     EstimationError,
     IngestionError,
 )
-from .metaio import fmt_float, fmt_vector, parse_vector
-from .objectives import DEFAULT_VAR_FLOOR, MarketStats
+from .metaio import fmt_float, fmt_rows, fmt_vector, parse_vector
+from .objectives import DEFAULT_VAR_FLOOR, MarketStats, _row_variances
 
 __all__ = [
     "PriceSeries",
@@ -191,8 +191,7 @@ def parse_prices(text: str) -> PriceSeries:
 def format_prices(series: PriceSeries) -> str:
     """Serialize with full round-trip precision; inverse of parse_prices."""
     lines = ["date," + ",".join(series.asset_names)]
-    for day, row in zip(series.dates, series.prices):
-        lines.append(day + "," + ",".join(fmt_float(p) for p in row))
+    lines += [day + "," + row for day, row in zip(series.dates, fmt_rows(series.prices))]
     return "\n".join(lines) + "\n"
 
 
@@ -301,12 +300,7 @@ def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _score_cloud(stats: MarketStats, weights: np.ndarray, var_floor: float):
     ret = weights @ stats.mu
-    var = np.einsum("ij,jk,ik->i", weights, stats.sigma, weights)
-    if var.size and float(var.min()) < var_floor:
-        raise DegeneratePortfolioError(
-            f"sampled portfolio variance {float(var.min()):.6e} below floor"
-        )
-    risk = np.sqrt(var)
+    risk = np.sqrt(_row_variances(weights, stats.sigma, var_floor))
     sharpe = (ret - stats.rf) / risk
     return ret, risk, sharpe
 
@@ -360,16 +354,20 @@ def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:
 
 
 def write_frontier_csv(cloud: FrontierCloud, path) -> None:
-    """``risk,ret,sharpe,w1,...,wd`` rows at full precision."""
+    """``risk,ret,sharpe,w1,...,wd`` rows at full precision.
+
+    Rows are formatted and written ``_FRONTIER_CHUNK`` at a time, so the
+    text of the whole cloud is never held in memory at once.
+    """
     d = cloud.weights.shape[1]
-    header = "risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(d))
-    lines = [header]
-    for i in range(len(cloud)):
-        fields = [fmt_float(cloud.risk[i]), fmt_float(cloud.ret[i]), fmt_float(cloud.sharpe[i])]
-        fields += [fmt_float(w) for w in cloud.weights[i]]
-        lines.append(",".join(fields))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(d)) + "\n")
+        for start in range(0, len(cloud), _FRONTIER_CHUNK):
+            part = slice(start, start + _FRONTIER_CHUNK)
+            block = np.column_stack(
+                (cloud.risk[part], cloud.ret[part], cloud.sharpe[part], cloud.weights[part])
+            )
+            fh.write("\n".join(fmt_rows(block)) + "\n")
 
 
 def format_stats(stats: MarketStats) -> str:

@@ -1,11 +1,15 @@
 """Small text formats: ``key=value`` metadata blocks and float formatting.
 
-Every artifact this package writes goes through :func:`fmt_float`, which
-uses Python's shortest round-trip ``repr``.  That keeps files byte-stable
-across repeated runs and lets a reader recover the exact binary value.
+Every float this package writes is rendered with Python's shortest
+round-trip ``repr`` of the float64 value: :func:`fmt_float` for one value,
+:func:`fmt_vector` for a vector and :func:`fmt_rows` for a 2-D block.  That
+keeps files byte-stable across repeated runs and lets a reader recover the
+exact binary value.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -16,8 +20,20 @@ def fmt_float(x) -> str:
 
 
 def fmt_vector(vec) -> str:
-    """Space-joined round-trip floats."""
-    return " ".join(fmt_float(c) for c in vec)
+    """Space-joined round-trip floats, in row-major order."""
+    return " ".join(map(repr, np.asarray(vec, dtype=float).ravel().tolist()))
+
+
+def fmt_rows(block, sep: str = ",") -> list[str]:
+    """One ``sep``-joined line of round-trip floats per row of a 2-D block.
+
+    The same bytes as :func:`fmt_float` on each cell, but converted to
+    Python floats once per block rather than once per cell.
+    """
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2:
+        raise ConfigurationError(f"expected a 2-D block, got shape {block.shape}")
+    return [sep.join(map(repr, row)) for row in block.tolist()]
 
 
 def parse_vector(text: str):

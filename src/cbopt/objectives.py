@@ -160,6 +160,18 @@ def _check_variance(var, floor: float):
         )
 
 
+def _row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarray:
+    """``w' Sigma w`` for every row ``w`` of an ``(m, d)`` block, floor-checked.
+
+    One BLAS product plus a row-wise dot; an empty block returns an empty
+    array without a check.
+    """
+    var = np.einsum("ij,ij->i", rows @ sigma, rows)
+    if var.size:
+        _check_variance(var, floor)
+    return var
+
+
 def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Objective:
     """Negated Sharpe ratio ``-(w'mu - rf)/sqrt(w'Sigma w)``.
 
@@ -177,9 +189,7 @@ def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Obje
         return -(float(w @ mu) - rf) / math.sqrt(var)
 
     def batch(rows):
-        var = np.einsum("ij,jk,ik->i", rows, sig, rows)
-        if var.size:
-            _check_variance(var, var_floor)
+        var = _row_variances(rows, sig, var_floor)
         return -(rows @ mu - rf) / np.sqrt(var)
 
     def grad(w):

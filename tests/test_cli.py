@@ -316,3 +316,39 @@ def test_workers_below_one_is_an_error(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--workers" in err
     assert not (tmp_path / "prices.csv").exists()
+
+
+def _stats_d6(tmp_path):
+    inputs = tmp_path / "in6"
+    assert main(["synth", "--assets", "6", "--rows", "200", "--seed", "1",
+                 "--out", str(inputs)]) == 0
+    assert main(["ingest", str(inputs / "prices.csv"), "--out", str(inputs)]) == 0
+    return str(inputs / "stats.txt")
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("box", ["box:0 0 0 0 0 0,1 1 1 1 1 1",
+                                 "box:-1 0 0 -2 0 0,0 1 1 0 1 1"])
+def test_sharpe_on_a_box_with_the_zero_portfolio_as_a_corner_is_an_error_line(
+    tmp_path, capsys, command, box
+):
+    argv = [command, "--stats", _stats_d6(tmp_path), "--projector", box,
+            "--particles", "10", "--max-iters", "5", "--out", str(tmp_path / "out")]
+    if command == "diagnose":
+        argv += ["--runs", "2", "--horizon", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero portfolio" in err
+    assert "Traceback" not in err and "variance 0.0" not in err
+
+
+def test_sharpe_on_a_box_that_excludes_zero_still_solves(tmp_path):
+    stats = _stats_d6(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--stats", stats, "--projector",
+                 "box:0.01 0.01 0.01 0.01 0.01 0.01,1 1 1 1 1 1",
+                 "--particles", "30", "--max-iters", "200", "--out", str(out)]) == 0
+    result = read_meta(out / "result.txt")
+    weights = np.array(parse_vector(result["weights"]))
+    assert weights.shape == (6,) and np.all(weights >= 0.01) and np.all(weights <= 1.0)
+    assert np.isfinite(float(result["sharpe"]))
