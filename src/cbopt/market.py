@@ -25,7 +25,7 @@ from .errors import (
     IngestionError,
 )
 from .metaio import fmt_float, fmt_rows, fmt_vector, parse_vector
-from .objectives import DEFAULT_VAR_FLOOR, MarketStats, _row_variances
+from .objectives import DEFAULT_VAR_FLOOR, MarketStats, row_variances
 
 __all__ = [
     "PriceSeries",
@@ -300,7 +300,7 @@ def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _score_cloud(stats: MarketStats, weights: np.ndarray, var_floor: float):
     ret = weights @ stats.mu
-    risk = np.sqrt(_row_variances(weights, stats.sigma, var_floor))
+    risk = np.sqrt(row_variances(weights, stats.sigma, var_floor))
     sharpe = (ret - stats.rf) / risk
     return ret, risk, sharpe
 

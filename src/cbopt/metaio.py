@@ -20,20 +20,19 @@ def fmt_float(x) -> str:
 
 
 def fmt_vector(vec) -> str:
-    """Space-joined round-trip floats, in row-major order."""
-    return " ".join(map(repr, np.asarray(vec, dtype=float).ravel().tolist()))
+    """Space-joined round-trip floats of a 1-D vector."""
+    # float.__repr__ rather than repr: a 2-D input then raises TypeError on
+    # its row lists instead of printing them.
+    return " ".join(map(float.__repr__, np.asarray(vec, dtype=float).tolist()))
 
 
-def fmt_rows(block, sep: str = ",") -> list[str]:
-    """One ``sep``-joined line of round-trip floats per row of a 2-D block.
+def fmt_rows(block) -> list[str]:
+    """One comma-joined line of round-trip floats per row of a 2-D block.
 
     The same bytes as :func:`fmt_float` on each cell, but converted to
     Python floats once per block rather than once per cell.
     """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2:
-        raise ConfigurationError(f"expected a 2-D block, got shape {block.shape}")
-    return [sep.join(map(repr, row)) for row in block.tolist()]
+    return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
 
 
 def parse_vector(text: str):

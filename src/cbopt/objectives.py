@@ -160,11 +160,12 @@ def _check_variance(var, floor: float):
         )
 
 
-def _row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarray:
+def row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarray:
     """``w' Sigma w`` for every row ``w`` of an ``(m, d)`` block, floor-checked.
 
     One BLAS product plus a row-wise dot; an empty block returns an empty
-    array without a check.
+    array without a check.  Shared by :func:`neg_sharpe` and
+    ``market._score_cloud``; left out of ``__all__``.
     """
     var = np.einsum("ij,ij->i", rows @ sigma, rows)
     if var.size:
@@ -189,7 +190,7 @@ def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Obje
         return -(float(w @ mu) - rf) / math.sqrt(var)
 
     def batch(rows):
-        var = _row_variances(rows, sig, var_floor)
+        var = row_variances(rows, sig, var_floor)
         return -(rows @ mu - rf) / np.sqrt(var)
 
     def grad(w):

@@ -17,7 +17,7 @@ from cbopt.market import (
     write_frontier_csv,
 )
 from cbopt.metaio import fmt_float, fmt_rows, fmt_vector
-from cbopt.objectives import MarketStats, _row_variances, neg_sharpe
+from cbopt.objectives import MarketStats, neg_sharpe, row_variances
 
 MAX_D = 30
 # Any summation order of w' Sigma w is within gamma_{d+1} * |w|'|Sigma||w| of
@@ -166,7 +166,7 @@ def test_row_variances_match_the_three_operand_einsum(d, m, rank, seed):
     factor = rng.standard_normal((d, min(rank, d))) * rng.uniform(1e-3, 10.0)
     sigma = factor @ factor.T
     rows = rng.standard_normal((m, d))
-    got = _row_variances(rows, sigma, 0.0)
+    got = row_variances(rows, sigma, 0.0)
     want = ref_variances(rows, sigma)
     scale = ref_variances(np.abs(rows), np.abs(sigma))
     assert got.shape == (m,)
@@ -175,9 +175,9 @@ def test_row_variances_match_the_three_operand_einsum(d, m, rank, seed):
 
 def test_row_variances_check_the_floor_but_not_on_an_empty_block():
     sigma = np.eye(3)
-    assert _row_variances(np.empty((0, 3)), sigma, 1e-12).shape == (0,)
+    assert row_variances(np.empty((0, 3)), sigma, 1e-12).shape == (0,)
     with pytest.raises(DegeneratePortfolioError, match="below floor"):
-        _row_variances(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), sigma, 1e-12)
+        row_variances(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), sigma, 1e-12)
 
 
 def test_sharpe_batch_scores_an_empty_block():
@@ -241,10 +241,10 @@ def test_fmt_vector_matches_the_per_cell_formatter(n):
 
 def test_fmt_vector_and_fmt_rows_accept_python_numbers():
     assert fmt_vector([1, -2, 0.5]) == old_fmt_vector([1, -2, 0.5]) == "1.0 -2.0 0.5"
-    assert fmt_rows([[1, -0.0], [5e-324, 1e16]], " ") == ["1.0 -0.0", "5e-324 1e+16"]
+    assert fmt_rows([[1, -0.0], [5e-324, 1e16]]) == ["1.0,-0.0", "5e-324,1e+16"]
     assert fmt_rows(np.empty((0, 4))) == []
-    with pytest.raises(ConfigurationError):
-        fmt_rows([1.0, 2.0])
+    with pytest.raises(TypeError):
+        fmt_vector(np.eye(2))
 
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (57, 2), (400, 3)])
