@@ -22,7 +22,6 @@ from .core import (
     RunResult,
     RunTrace,
     StepNoise,
-    StepRecord,
     TraceRecord,
     cbo_step,
     consensus_point,

@@ -73,11 +73,19 @@ def _cast(key: str, raw: str, caster):
         raise ConfigurationError(f"config value {key}={raw!r}: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    """A UTF-8 input file's text; a decode failure names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve(args, spec) -> dict:
     """flags > config file > defaults, keyed by config-key name."""
     from_file: dict[str, str] = {}
     if getattr(args, "config", None):
-        from_file = parse_metadata(Path(args.config).read_text())
+        from_file = parse_metadata(_read_text(args.config))
     unknown = sorted(set(from_file) - _CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
@@ -133,7 +141,7 @@ def _cbo_params(cfg: dict, seed: int) -> CboParams:
 def _load_stats(cfg: dict) -> objectives.MarketStats:
     if not cfg.get("stats"):
         raise ConfigurationError("this objective needs --stats (see the ingest command)")
-    stats = market.parse_stats(Path(cfg["stats"]).read_text())
+    stats = market.parse_stats(_read_text(cfg["stats"]))
     if cfg.get("rf") is not None:
         stats = stats.with_rf(cfg["rf"])
     return stats
@@ -216,7 +224,7 @@ _INGEST_OPTS = [("rf", "rf", float, 0.0)]
 def cmd_ingest(args) -> int:
     cfg = _resolve(args, _INGEST_OPTS)
     out = _out_dir(args)
-    series = market.parse_prices(Path(args.prices).read_text())
+    series = market.parse_prices(_read_text(args.prices))
     returns = market.log_returns(series)
     stats = market.estimate_stats(returns, rf=cfg["rf"])
     with open(out / "stats.txt", "w", newline="\n") as fh:
@@ -362,6 +370,9 @@ _CONFIG_KEYS = {opt[0] for spec in _ALL_SPECS for opt in spec}
 
 def cmd_diagnose(args) -> int:
     cfg = _resolve(args, _DIAGNOSE_OPTS)
+    betas = _cast(
+        "betas", cfg["betas"], lambda raw: [float(t) for t in raw.split(",") if t.strip()]
+    )
     out = _out_dir(args)
     workers = args.workers or 1
     objective, projector, _stats = _build_problem(cfg)
@@ -381,7 +392,6 @@ def cmd_diagnose(args) -> int:
     )
     decay.write_csv(out / "decay.csv")
 
-    betas = [float(tok) for tok in str(cfg["betas"]).split(",") if tok.strip() != ""]
     ensemble = init_ensemble(
         projector.dim,
         params,

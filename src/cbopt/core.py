@@ -37,7 +37,6 @@ __all__ = [
     "CboParams",
     "StepNoise",
     "Ensemble",
-    "StepRecord",
     "TraceRecord",
     "RunTrace",
     "RunResult",
@@ -156,21 +155,10 @@ class Ensemble:
         return self.positions.shape[-2]
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Snapshot of the ensemble state at one iteration."""
-
-    iteration: int
-    consensus: np.ndarray
-    dispersion: float
-    residual: float
-    best_value: float
-    center_of_mass: np.ndarray
-
-
 @dataclass
 class TraceRecord:
-    """One persisted trace row: a snapshot plus the running path sums.
+    """One trace row: the ensemble state at one iteration plus the running
+    path sums.
 
     ``a_n`` accumulates the mean particle-to-consensus distance through the
     current iterate; ``b_n`` accumulates the mean norm of the noise term
@@ -373,18 +361,15 @@ def predictor_step(
     )
 
 
-def _snapshot(ensemble: Ensemble, beta: float) -> StepRecord:
-    if ensemble.positions.ndim != 2:
-        raise ConfigurationError("a step record needs a single (N, d) run")
-    cons = consensus_point(ensemble, beta)
+def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRecord:
+    """The trace row for ``ensemble``.
+
+    The center of mass and the dispersion are computed here, so only for
+    the rows a trace keeps.
+    """
     pos = ensemble.positions
-    com = pos.mean(axis=0)
-    dev = pos - com
-    dispersion = 2.0 * float((dev * dev).sum()) / (ensemble.n_particles - 1)
-    dev_cons = pos - cons
-    residual = float(np.sqrt((dev_cons * dev_cons).sum(axis=1)).max())
-    best = float(ensemble.objective_values.min())
-    return StepRecord(ensemble.iteration, cons, dispersion, residual, best, com)
+    return TraceRecord(ensemble.iteration, cons, mean_pairwise_sq(pos), residual, best_value,
+                       pos.mean(axis=0), a_n, b_n)
 
 
 def _advance(
@@ -420,14 +405,23 @@ def cbo_step(
     projector,
     objective,
     rng: np.random.Generator,
-) -> tuple[Ensemble, StepRecord]:
+) -> tuple[Ensemble, TraceRecord]:
     """One full iteration: consensus, noise, predictor, corrector, cache.
 
-    Returns the advanced ensemble and a snapshot of the *input* state (the
-    consensus in the record is the one the update used).
+    Returns the advanced ensemble and the row :func:`run` writes for the
+    *input* state (its consensus is the one the update used): ``a_n`` is
+    the mean distance to consensus and ``b_n`` is 0.
     """
-    record = _snapshot(ensemble, params.beta)
-    advanced, _ = _advance(ensemble, record.consensus, params, projector, objective, rng)
+    if ensemble.positions.ndim != 2:
+        raise ConfigurationError("a step record needs a single (N, d) run")
+    cons = consensus_point(ensemble, params.beta)
+    dev = ensemble.positions - cons
+    dist = np.sqrt((dev * dev).sum(axis=1))
+    record = _record(
+        ensemble, cons, float(dist.max()), float(ensemble.objective_values.min()),
+        float(dist.mean()), 0.0,
+    )
+    advanced, _ = _advance(ensemble, cons, params, projector, objective, rng)
     return advanced, record
 
 
@@ -460,41 +454,27 @@ def run(
     b_sum = 0.0
     best_value = math.inf
     best_point = ensemble.positions[0].copy()
-    record = None
     while True:
-        record = _snapshot(ensemble, params.beta)
-        dev_cons = ensemble.positions - record.consensus
-        a_sum += float(np.sqrt((dev_cons * dev_cons).sum(axis=1)).mean())
-        if record.best_value < best_value:
-            best_value = record.best_value
-            best_point = ensemble.positions[
-                int(np.argmin(ensemble.objective_values))
-            ].copy()
-        stop = (record.residual < params.residual_tol) or (
-            ensemble.iteration >= params.max_iters
-        )
+        cons = consensus_point(ensemble, params.beta)
+        dev = ensemble.positions - cons
+        dist = np.sqrt((dev * dev).sum(axis=1))
+        residual = float(dist.max())
+        a_sum += float(dist.mean())
+        i = int(np.argmin(ensemble.objective_values))
+        current = float(ensemble.objective_values[i])
+        if current < best_value:
+            best_value = current
+            best_point = ensemble.positions[i].copy()
+        stop = (residual < params.residual_tol) or (ensemble.iteration >= params.max_iters)
         if ensemble.iteration % thin == 0 or stop:
-            trace.records.append(
-                TraceRecord(
-                    record.iteration,
-                    record.consensus,
-                    record.dispersion,
-                    record.residual,
-                    record.best_value,
-                    record.center_of_mass,
-                    a_sum,
-                    b_sum,
-                )
-            )
+            trace.records.append(_record(ensemble, cons, residual, current, a_sum, b_sum))
         if stop:
             break
-        ensemble, noise = _advance(
-            ensemble, record.consensus, params, projector, objective, rng
-        )
-        term = dev_cons * noise.values
+        ensemble, noise = _advance(ensemble, cons, params, projector, objective, rng)
+        term = dev * noise.values
         b_sum += float(np.sqrt((term * term).sum(axis=1)).mean())
 
-    point = projector.project(record.consensus)
+    point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)
 
 

@@ -352,3 +352,39 @@ def test_sharpe_on_a_box_that_excludes_zero_still_solves(tmp_path):
     weights = np.array(parse_vector(result["weights"]))
     assert weights.shape == (6,) and np.all(weights >= 0.01) and np.all(weights <= 1.0)
     assert np.isfinite(float(result["sharpe"]))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_betas_are_an_error_line_before_any_artifact(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    argv = ["diagnose", "--objective", "sphere", "--dim", "2", "--particles", "5",
+            "--runs", "2", "--horizon", "2", "--out", str(out)]
+    if source == "flag":
+        argv += ["--betas", "1,abc"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("betas=1,abc\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "betas" in err
+    assert "Traceback" not in err
+    assert not (out / "decay.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "stats", "prices"])
+def test_non_utf8_input_file_is_an_error_line_naming_it(tmp_path, capsys, kind):
+    # a cp1252 export: the pound sign is byte 0xA3, which UTF-8 rejects
+    bad = tmp_path / f"bad_{kind}.txt"
+    bad.write_bytes(b"\xff\xfe" + "date,£fund\n".encode("cp1252"))
+    out = str(tmp_path / "out")
+    argv = {
+        "config": ["solve", "--config", str(bad), "--objective", "sphere", "--dim", "2",
+                   "--out", out],
+        "stats": ["solve", "--stats", str(bad), "--out", out],
+        "prices": ["ingest", str(bad), "--out", out],
+    }[kind]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+    assert "Traceback" not in err
