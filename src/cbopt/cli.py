@@ -24,7 +24,7 @@ import numpy as np
 from . import baseline, diagnostics, market, objectives, projections
 from .core import CboParams, NoiseMode, init_ensemble, run, write_trace_csv
 from .errors import CbOptError, ConfigurationError
-from .metaio import fmt_float, fmt_vector, parse_metadata, write_metadata
+from .metaio import fmt_float, fmt_vector, parse_metadata, usable_cpus, write_metadata
 
 
 def _flag(raw: str) -> bool:
@@ -246,7 +246,7 @@ _SOLVE_OPTS = _SOLVER_OPTS + _PROBLEM_OPTS + [
 def cmd_solve(args) -> int:
     cfg = _resolve(args, _SOLVE_OPTS)
     out = _out_dir(args)
-    workers = args.workers or 1
+    workers = args.workers or usable_cpus()
     objective, projector, stats = _build_problem(cfg)
     (solve_seed,) = _derived_seeds(cfg["seed"], 1)
     params = _cbo_params(cfg, solve_seed)
@@ -258,7 +258,7 @@ def cmd_solve(args) -> int:
         errors = diagnostics.error_trace(result.trace, reference)
         diagnostics.write_error_csv(result.trace.iterations(), errors, out / "error_trace.csv")
 
-    write_trace_csv(result.trace, out / "trace.csv")
+    write_trace_csv(result.trace, out / "trace.csv", workers=workers)
 
     meta = {"command": "solve"}
     meta.update(_echo(cfg, _SOLVE_OPTS))
@@ -306,14 +306,14 @@ _FRONTIER_OPTS = _SOLVER_OPTS + [
 def cmd_frontier(args) -> int:
     cfg = _resolve(args, _FRONTIER_OPTS)
     out = _out_dir(args)
-    workers = args.workers or 1
+    workers = args.workers or usable_cpus()
     stats = _load_stats(cfg)
     projector = projections.simplex(stats.dim)
     objective = objectives.neg_sharpe(stats)
     cbo_seed, cloud_seed = _derived_seeds(cfg["seed"], 2)
 
     cloud = market.sample_frontier(stats, cfg["samples"], cloud_seed, workers=workers)
-    market.write_frontier_csv(cloud, out / "frontier.csv")
+    market.write_frontier_csv(cloud, out / "frontier.csv", workers=workers)
 
     params = _cbo_params(cfg, cbo_seed)
     result = run(objective, projector, params, init_std=cfg["init_std"])
@@ -346,7 +346,7 @@ def cmd_frontier(args) -> int:
 
     if cfg["svg"]:
         with open(out / "frontier.svg", "w", newline="\n") as fh:
-            fh.write(_frontier_svg(cloud, intercept, slope, (risk, ret)))
+            fh.writelines(_svg_pieces(cloud, intercept, slope, (risk, ret)))
 
     print(
         f"frontier: {len(cloud)} samples; tangency sharpe={fmt_float(sharpe)} "
@@ -371,7 +371,9 @@ _CONFIG_KEYS = {opt[0] for spec in _ALL_SPECS for opt in spec}
 def cmd_diagnose(args) -> int:
     cfg = _resolve(args, _DIAGNOSE_OPTS)
     betas = _cast(
-        "betas", cfg["betas"], lambda raw: [float(t) for t in raw.split(",") if t.strip()]
+        "betas",
+        cfg["betas"],
+        lambda raw: diagnostics.check_betas(float(t) for t in raw.split(",") if t.strip()),
     )
     out = _out_dir(args)
     workers = args.workers or 1
@@ -444,6 +446,15 @@ def _frontier_svg(cloud, intercept, slope, tangency) -> str:
     Pure text, no drawing dependency; coordinates are emitted with
     deterministic formatting.
     """
+    return "".join(_svg_pieces(cloud, intercept, slope, tangency))
+
+
+_SVG_CHUNK = 8192
+
+
+def _svg_pieces(cloud, intercept, slope, tangency):
+    """The text of :func:`_frontier_svg` in pieces of at most ``_SVG_CHUNK``
+    circles, so a large cloud is never held as one string."""
     width, height, pad = 640.0, 440.0, 50.0
     t_risk, t_ret = float(tangency[0]), float(tangency[1])
     risks = np.concatenate([cloud.risk, [t_risk, 0.0]])
@@ -457,14 +468,14 @@ def _frontier_svg(cloud, intercept, slope, tangency) -> str:
     y_lo -= 0.05 * y_span
     y_hi += 0.05 * y_span
 
-    # Pixel coordinates; elementwise, so one call maps the whole cloud.
+    # Pixel coordinates; elementwise, so one call maps a whole chunk.
     def sx(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
 
     def sy(y):
         return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
-    parts = [
+    yield "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
@@ -476,14 +487,13 @@ def _frontier_svg(cloud, intercept, slope, tangency) -> str:
         'text-anchor="middle">risk</text>',
         f'<text x="14" y="{height / 2:.0f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 14 {height / 2:.0f})">return</text>',
-    ]
-    circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1.5" fill="#4477aa" fill-opacity="0.45"/>'
-    parts += map(circle.format, sx(cloud.risk).tolist(), sy(cloud.ret).tolist())
+    ]) + "\n"
+    circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1.5" fill="#4477aa" fill-opacity="0.45"/>\n'
+    for start in range(0, len(cloud), _SVG_CHUNK):
+        part = slice(start, start + _SVG_CHUNK)
+        xs, ys = sx(cloud.risk[part]).tolist(), sy(cloud.ret[part]).tolist()
+        yield "".join(map(circle.format, xs, ys))
     y_at_hi = intercept + slope * x_hi
-    parts.append(
-        f'<line x1="{sx(0.0):.2f}" y1="{sy(intercept):.2f}" x2="{sx(x_hi):.2f}" '
-        f'y2="{sy(y_at_hi):.2f}" stroke="#228833" stroke-width="1.5"/>'
-    )
     # The star is centred on the tangency point as drawn, i.e. rounded.
     tx, ty = float(f"{sx(t_risk):.2f}"), float(f"{sy(t_ret):.2f}")
     star = []
@@ -491,9 +501,12 @@ def _frontier_svg(cloud, intercept, slope, tangency) -> str:
         radius = 9.0 if k % 2 == 0 else 3.8
         angle = -np.pi / 2 + k * np.pi / 5
         star.append(f"{tx + radius * np.cos(angle):.2f},{ty + radius * np.sin(angle):.2f}")
-    parts.append(f'<polygon points="{" ".join(star)}" fill="#cc3311"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "\n".join([
+        f'<line x1="{sx(0.0):.2f}" y1="{sy(intercept):.2f}" x2="{sx(x_hi):.2f}" '
+        f'y2="{sy(y_at_hi):.2f}" stroke="#228833" stroke-width="1.5"/>',
+        f'<polygon points="{" ".join(star)}" fill="#cc3311"/>',
+        "</svg>",
+    ]) + "\n"
 
 
 # ------------------------------------------------------------------- parser

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import fmt_float, fmt_rows
+from .metaio import _pieces, fmt_float, fmt_rows
 
 __all__ = [
     "NoiseMode",
@@ -486,11 +486,13 @@ def trace_csv_header(dim: int) -> str:
     return ",".join(cols)
 
 
-def write_trace_csv(trace: RunTrace, path) -> None:
+def write_trace_csv(trace: RunTrace, path, workers: int = 1) -> None:
     """Persist a trace as CSV with full round-trip float precision.
 
     The ``err_ref`` field is left empty for records with no reference
-    error attached.
+    error attached.  Large traces are formatted on up to ``workers``
+    processes (capped at the usable CPUs); the bytes are the same for every
+    ``workers``.
     """
     if not trace.records:
         raise ConfigurationError("cannot write an empty trace")
@@ -499,9 +501,16 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         (trace.residuals(), trace.dispersions(), trace.best_values(), trace.consensus_points(),
          trace.centers_of_mass(), trace.a_values(), trace.b_values())
     )
-    lines = [trace_csv_header(dim)]
-    for r, body in zip(trace.records, fmt_rows(block)):
-        err = "" if r.err_ref is None else fmt_float(r.err_ref)
-        lines.append(f"{r.iteration},{body},{err}")
+
+    def render(lo: int, hi: int) -> str:
+        lines = []
+        for r, body in zip(trace.records[lo:hi], fmt_rows(block[lo:hi])):
+            err = "" if r.err_ref is None else fmt_float(r.err_ref)
+            lines.append(f"{r.iteration},{body},{err}\n")
+        return "".join(lines)
+
+    pieces = _pieces(len(block), block.shape[1], render, workers)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trace_csv_header(dim) + "\n")
+        fh.flush()
+        fh.writelines(pieces)

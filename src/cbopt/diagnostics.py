@@ -273,13 +273,12 @@ class LaplacePoint:
     gap: float
 
 
-def laplace_sweep(ensemble: Ensemble, betas) -> list[LaplacePoint]:
-    """Gap between the consensus point and the best particle for each beta.
+def check_betas(betas) -> list[float]:
+    """``betas`` as floats, once they are nonempty, finite, ``>= 0`` and
+    strictly ascending.
 
-    ``betas`` must be nonnegative and strictly ascending (0 is allowed and
-    yields the arithmetic mean).  As beta grows the consensus point
-    concentrates on the minimizing particle, so the gap decays to zero;
-    ties among best particles make it converge to their midpoint instead.
+    :func:`laplace_sweep` checks its input with it, and the ``diagnose``
+    command before it writes any artifact; left out of ``__all__``.
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -288,6 +287,18 @@ def laplace_sweep(ensemble: Ensemble, betas) -> list[LaplacePoint]:
         raise ConfigurationError("betas must be finite and >= 0")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ConfigurationError("betas must be strictly ascending")
+    return betas
+
+
+def laplace_sweep(ensemble: Ensemble, betas) -> list[LaplacePoint]:
+    """Gap between the consensus point and the best particle for each beta.
+
+    ``betas`` must be nonnegative and strictly ascending (0 is allowed and
+    yields the arithmetic mean).  As beta grows the consensus point
+    concentrates on the minimizing particle, so the gap decays to zero;
+    ties among best particles make it converge to their midpoint instead.
+    """
+    betas = check_betas(betas)
     if ensemble.positions.ndim != 2:
         raise ConfigurationError("laplace_sweep needs a single (N, d) run")
     best = ensemble.positions[int(np.argmin(ensemble.objective_values))]

@@ -24,7 +24,7 @@ from .errors import (
     EstimationError,
     IngestionError,
 )
-from .metaio import fmt_float, fmt_rows, fmt_vector, parse_vector
+from .metaio import _pieces, fmt_float, fmt_rows, fmt_vector, parse_vector
 from .objectives import DEFAULT_VAR_FLOOR, MarketStats, row_variances
 
 __all__ = [
@@ -353,21 +353,27 @@ def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:
     return float(rf), (ret - float(rf)) / risk
 
 
-def write_frontier_csv(cloud: FrontierCloud, path) -> None:
+def write_frontier_csv(cloud: FrontierCloud, path, workers: int = 1) -> None:
     """``risk,ret,sharpe,w1,...,wd`` rows at full precision.
 
-    Rows are formatted and written ``_FRONTIER_CHUNK`` at a time, so the
-    text of the whole cloud is never held in memory at once.
+    The columns are stacked and formatted one piece of rows at a time, so
+    neither the whole block nor its text is held at once.  Large clouds are
+    formatted on up to ``workers`` processes (capped at the usable CPUs);
+    the bytes are the same for every ``workers``.
     """
     d = cloud.weights.shape[1]
+
+    def render(lo: int, hi: int) -> str:
+        block = np.column_stack(
+            (cloud.risk[lo:hi], cloud.ret[lo:hi], cloud.sharpe[lo:hi], cloud.weights[lo:hi])
+        )
+        return "\n".join(fmt_rows(block)) + "\n"
+
+    pieces = _pieces(len(cloud), d + 3, render, workers)
     with open(path, "w", newline="\n") as fh:
         fh.write("risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(d)) + "\n")
-        for start in range(0, len(cloud), _FRONTIER_CHUNK):
-            part = slice(start, start + _FRONTIER_CHUNK)
-            block = np.column_stack(
-                (cloud.risk[part], cloud.ret[part], cloud.sharpe[part], cloud.weights[part])
-            )
-            fh.write("\n".join(fmt_rows(block)) + "\n")
+        fh.flush()
+        fh.writelines(pieces)
 
 
 def format_stats(stats: MarketStats) -> str:

@@ -4,14 +4,42 @@ Every float this package writes is rendered with Python's shortest
 round-trip ``repr`` of the float64 value: :func:`fmt_float` for one value,
 :func:`fmt_vector` for a vector and :func:`fmt_rows` for a 2-D block.  That
 keeps files byte-stable across repeated runs and lets a reader recover the
-exact binary value.
+exact binary value.  ``repr`` costs about a microsecond per float on one
+core, so the CSV writers hand large blocks to :func:`_pieces`, which
+formats them on several forked processes.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .errors import ConfigurationError
+
+__all__ = [
+    "fmt_float",
+    "fmt_vector",
+    "fmt_rows",
+    "parse_vector",
+    "format_metadata",
+    "write_metadata",
+    "parse_metadata",
+]
+
+# Cells per formatted piece: small enough that a piece's text (~1.3 MB) is
+# cheap to hold and to pipe, large enough (tens of ms to format) that the
+# per-piece overhead stays small.
+_PIECE_CELLS = 1 << 16
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def fmt_float(x) -> str:
@@ -33,6 +61,87 @@ def fmt_rows(block) -> list[str]:
     Python floats once per block rather than once per cell.
     """
     return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
+
+
+def _pieces(n_rows: int, row_cells: int, render, workers: int):
+    """``render(lo, hi)`` for consecutive row ranges of ``n_rows``, in row order.
+
+    Each range holds about ``_PIECE_CELLS`` cells (at least one row of
+    ``row_cells``).  Piece i is rendered by process i mod P, where P is
+    ``min(workers, pieces, usable_cpus())``: process 0 is the caller and the
+    others are forked children, so ``render`` may be any closure.  P is 1,
+    and nothing forks, without ``os.fork`` or while other threads run.
+    ``render`` must be deterministic; the text is then the same for every
+    ``workers``.  A caller writing a file flushes it before drawing the first
+    piece, so no child inherits unwritten output.
+    """
+    if int(workers) != workers or workers < 1:
+        raise ConfigurationError("workers must be a positive integer")
+    step = max(1, _PIECE_CELLS // max(1, row_cells))
+    bounds = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    procs = min(workers, len(bounds), usable_cpus())
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return (render(lo, hi) for lo, hi in bounds)
+    return _forked_pieces(bounds, procs, render)
+
+
+def _forked_pieces(bounds, procs: int, render):
+    children = []  # (pid, pipe read end) of processes 1 .. procs-1
+    complete = False
+    try:
+        for k in range(1, procs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                for _pid, reader in children:
+                    reader.close()
+                _send_pieces(w, bounds[k::procs], render)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        for i, (lo, hi) in enumerate(bounds):
+            k = i % procs
+            yield render(lo, hi) if k == 0 else _receive_piece(children[k - 1][1])
+        complete = True
+    finally:
+        # Closing the read ends first makes a child still writing (the
+        # consumer stopped early) fail with EPIPE and exit, so no wait hangs.
+        for _pid, reader in children:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _r in children]
+        if complete and any(codes):
+            raise OSError(f"formatter processes exited with status {codes}")
+
+
+def _send_pieces(fd: int, bounds, render):
+    """Body of a forked child: length-prefixed pieces into ``fd``; never returns."""
+    status = 1
+    try:
+        with open(fd, "wb") as out:
+            for lo, hi in bounds:
+                data = render(lo, hi).encode()
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_piece(reader) -> str:
+    size = int.from_bytes(_read_exact(reader, 8), "little")
+    return _read_exact(reader, size).decode()
+
+
+def _read_exact(reader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) != n:
+        raise OSError("a formatter process ended before sending its piece")
+    return data
 
 
 def parse_vector(text: str):

@@ -388,3 +388,15 @@ def test_non_utf8_input_file_is_an_error_line_naming_it(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("betas", ["10,1", "-1,2", ","])
+def test_betas_that_parse_but_are_invalid_fail_before_any_artifact(tmp_path, capsys, betas):
+    # descending, negative, and empty once the separators are dropped
+    out = tmp_path / "out"
+    assert main(["diagnose", "--objective", "sphere", "--dim", "2", "--particles", "5",
+                 "--runs", "2", "--horizon", "2", f"--betas={betas}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "betas" in err
+    assert "Traceback" not in err
+    assert not (out / "decay.csv").exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbopt.cli import _frontier_svg
+from cbopt.cli import _SVG_CHUNK, _frontier_svg
 from cbopt.core import RunTrace, TraceRecord, trace_csv_header, write_trace_csv
 from cbopt.errors import ConfigurationError, DegeneratePortfolioError
 from cbopt.market import (
@@ -277,3 +277,15 @@ def test_frontier_svg_circles_keep_the_rounding_ties_of_the_per_point_formula():
     assert [ln for ln in lines if ln.startswith("<circle")] == old_frontier_svg_circles(
         cloud, intercept, tangency
     )
+
+
+def test_frontier_svg_circles_match_the_per_point_formula_across_chunks():
+    n = 2 * _SVG_CHUNK + 1
+    rng = np.random.default_rng(9)
+    risk = rng.uniform(0.005, 0.03, n)
+    ret = rng.uniform(-1e-3, 2e-3, n)
+    cloud = FrontierCloud(np.full((n, 2), 0.5), ret, risk, (ret - 1e-4) / risk)
+    tangency, intercept, slope = (0.012, 9e-4), 1e-4, (9e-4 - 1e-4) / 0.012
+    lines = _frontier_svg(cloud, intercept, slope, tangency).splitlines()
+    assert lines[6:6 + n] == old_frontier_svg_circles(cloud, intercept, tangency)
+    assert lines[5].startswith("<text") and lines[6 + n].startswith("<line")
