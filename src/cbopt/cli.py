@@ -516,7 +516,9 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", help="output directory (default: current)")
     sp.add_argument("--seed", type=int)
     sp.add_argument(
-        "--workers", type=int, help="accepted for compatibility; no longer changes execution"
+        "--workers", type=int,
+        help="cap on the processes that format trace.csv and frontier.csv "
+             "(default: usable CPUs; 1 never forks)",
     )
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _pieces, fmt_float, fmt_rows
+from .metaio import _blocks, _pieces, fmt_float, fmt_rows
 
 __all__ = [
     "NoiseMode",
@@ -249,10 +249,18 @@ def mean_pairwise_sq(positions):
     pos = np.asarray(positions, dtype=float)
     if pos.ndim not in (2, 3) or pos.shape[-2] < 2:
         raise ConfigurationError("need (N, d) or (R, N, d) positions with N >= 2")
-    n = pos.shape[-2]
-    dev = pos - pos.mean(axis=-2, keepdims=True)
-    sq = (dev * dev).reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
-    out = 2.0 * sq / (n - 1)
+    return _pairwise_sq(pos, pos.mean(axis=-2, keepdims=True))
+
+
+def _pairwise_sq(pos: np.ndarray, com: np.ndarray):
+    """:func:`mean_pairwise_sq` of validated positions with center of mass ``com``.
+
+    The squares are summed over each run's whole ``N*d`` block at once, so
+    this reduction is not cut into row blocks.
+    """
+    dev = pos - com
+    sq = np.multiply(dev, dev, out=dev).reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
+    out = 2.0 * sq / (pos.shape[-2] - 1)
     return float(out) if pos.ndim == 2 else out
 
 
@@ -285,7 +293,10 @@ def init_ensemble(
     if mean.shape != (dim,) or not np.all(np.isfinite(mean)):
         raise ConfigurationError(f"init_mean must be a finite {dim}-vector")
     rng = np.random.default_rng(params.seed if seed is None else seed)
-    raw = mean + init_std * rng.standard_normal((params.n_particles, dim))
+    # init_std * z, then mean + that: the bits of the plain expression.
+    raw = rng.standard_normal((params.n_particles, dim))
+    raw *= init_std
+    raw += mean
     positions = projector.project_rows(raw)
     values = objective.eval_many(positions)
     if not np.all(np.isfinite(values)):
@@ -339,6 +350,13 @@ def _check_noise(ensemble: Ensemble, params: CboParams, noise: StepNoise) -> Non
         )
 
 
+def _part(operand: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
+    """The part of ``operand`` that row block ``[lo, hi)`` of an ``ndim``-rank
+    array uses: an operand of that rank is cut with it, and a lower-rank one
+    broadcasts whole."""
+    return operand[lo:hi] if operand.ndim == ndim else operand
+
+
 def predictor_step(
     ensemble: Ensemble, consensus: np.ndarray, params: CboParams, noise: StepNoise
 ) -> np.ndarray:
@@ -347,18 +365,53 @@ def predictor_step(
     ``w_i - lam*h*(w_i - consensus) + sigma*sqrt(h)*(w_i - consensus)*eta``
     evaluated rowwise; the input ensemble is not mutated.  A batched
     ensemble takes one consensus row per run.
+
+    The expression is evaluated in row blocks (whole runs when batched) by
+    in-place ufuncs with the same operands in the same order, so the bits
+    are those of the whole-array expression.
     """
     consensus = np.asarray(consensus, dtype=float)
-    if consensus.shape != ensemble.positions.shape[:-2] + (ensemble.dim,):
+    pos = ensemble.positions
+    if consensus.shape != pos.shape[:-2] + (ensemble.dim,):
         raise ConfigurationError("consensus point has the wrong dimension")
     _check_noise(ensemble, params, noise)
-    dev = ensemble.positions - consensus[..., None, :]
-    eta = noise.values if noise.mode is NoiseMode.INDEPENDENT else noise.values[..., None, :]
-    return (
-        ensemble.positions
-        - (params.lam * params.h) * dev
-        + (params.sigma * math.sqrt(params.h)) * dev * eta
-    )
+    eta = np.asarray(noise.values)
+    if pos.ndim == 3:  # one consensus row, and in COMMON mode one noise row, per run
+        consensus = consensus[:, None, :]
+        eta = eta if noise.mode is NoiseMode.INDEPENDENT else eta[:, None, :]
+    drift = params.lam * params.h
+    spread = params.sigma * math.sqrt(params.h)
+    out = np.empty(pos.shape)
+    ranges, scratch = _blocks(pos.shape)
+    for lo, hi in ranges:
+        w, new = pos[lo:hi], out[lo:hi]
+        dev = np.subtract(w, _part(consensus, lo, hi, pos.ndim), out=scratch[: hi - lo])
+        np.multiply(drift, dev, out=new)
+        np.subtract(w, new, out=new)
+        np.multiply(spread, dev, out=dev)
+        np.multiply(dev, _part(eta, lo, hi, pos.ndim), out=dev)
+        np.add(new, dev, out=new)
+    return out
+
+
+def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None) -> np.ndarray:
+    """``||w_i - cons||`` for each row of ``(N, d)`` positions, or
+    ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given.
+
+    ``blocks`` is ``metaio._blocks(pos.shape)``, made once per run.  The
+    norms are computed in its row blocks without a full-size temporary, with
+    the bits of ``np.sqrt((t * t).sum(axis=1))`` for ``t = pos - cons``
+    (times ``eta``).
+    """
+    sq = np.empty(pos.shape[0])
+    ranges, scratch = blocks
+    for lo, hi in ranges:
+        dev = np.subtract(pos[lo:hi], cons, out=scratch[: hi - lo])
+        if eta is not None:
+            np.multiply(dev, _part(eta, lo, hi, 2), out=dev)
+        np.multiply(dev, dev, out=dev)
+        dev.sum(axis=1, out=sq[lo:hi])
+    return np.sqrt(sq, out=sq)
 
 
 def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRecord:
@@ -368,8 +421,9 @@ def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRe
     the rows a trace keeps.
     """
     pos = ensemble.positions
-    return TraceRecord(ensemble.iteration, cons, mean_pairwise_sq(pos), residual, best_value,
-                       pos.mean(axis=0), a_n, b_n)
+    com = pos.mean(axis=0)
+    return TraceRecord(ensemble.iteration, cons, _pairwise_sq(pos, com), residual, best_value,
+                       com, a_n, b_n)
 
 
 def _advance(
@@ -415,8 +469,7 @@ def cbo_step(
     if ensemble.positions.ndim != 2:
         raise ConfigurationError("a step record needs a single (N, d) run")
     cons = consensus_point(ensemble, params.beta)
-    dev = ensemble.positions - cons
-    dist = np.sqrt((dev * dev).sum(axis=1))
+    dist = _dev_norms(ensemble.positions, cons, _blocks(ensemble.positions.shape))
     record = _record(
         ensemble, cons, float(dist.max()), float(ensemble.objective_values.min()),
         float(dist.mean()), 0.0,
@@ -448,6 +501,7 @@ def run(
         projector.dim, params, init_mean, init_std, projector, objective, seed=init_ss
     )
     rng = np.random.default_rng(noise_ss)
+    blocks = _blocks(ensemble.positions.shape)
 
     trace = RunTrace()
     a_sum = 0.0
@@ -456,8 +510,8 @@ def run(
     best_point = ensemble.positions[0].copy()
     while True:
         cons = consensus_point(ensemble, params.beta)
-        dev = ensemble.positions - cons
-        dist = np.sqrt((dev * dev).sum(axis=1))
+        pos = ensemble.positions
+        dist = _dev_norms(pos, cons, blocks)
         residual = float(dist.max())
         a_sum += float(dist.mean())
         i = int(np.argmin(ensemble.objective_values))
@@ -471,8 +525,7 @@ def run(
         if stop:
             break
         ensemble, noise = _advance(ensemble, cons, params, projector, objective, rng)
-        term = dev * noise.values
-        b_sum += float(np.sqrt((term * term).sum(axis=1)).mean())
+        b_sum += float(_dev_norms(pos, cons, blocks, noise.values).mean())
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

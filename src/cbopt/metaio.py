@@ -6,13 +6,17 @@ round-trip ``repr`` of the float64 value: :func:`fmt_float` for one value,
 keeps files byte-stable across repeated runs and lets a reader recover the
 exact binary value.  ``repr`` costs about a microsecond per float on one
 core, so the CSV writers hand large blocks to :func:`_pieces`, which
-formats them on several forked processes.
+formats them on several forked processes.  The same row ranges
+(:func:`_row_ranges`) cut the numeric kernels' ``(N, d)`` arrays into
+cache-sized blocks (:func:`_blocks`).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
+import warnings
 
 import numpy as np
 
@@ -32,6 +36,10 @@ __all__ = [
 # cheap to hold and to pipe, large enough (tens of ms to format) that the
 # per-piece overhead stays small.
 _PIECE_CELLS = 1 << 16
+
+# Cells per kernel block: 1 MB of float64, so a block and the scratch arrays
+# of an in-place ufunc chain over it stay in a core's L2 cache.
+_BLOCK_CELLS = 1 << 17
 
 
 def usable_cpus() -> int:
@@ -63,6 +71,29 @@ def fmt_rows(block) -> list[str]:
     return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
 
 
+def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges over ``n_rows`` rows of ``row_cells``
+    cells each: about ``cells`` cells per range, and at least one row."""
+    step = max(1, cells // max(1, row_cells))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _blocks(shape) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Row ranges of about ``_BLOCK_CELLS`` cells over the first axis of an
+    array of ``shape``, and one uninitialized scratch array that holds the
+    largest of them.
+
+    Elementwise ufuncs give the same bits on a block as on the whole array,
+    and every row sum stays one reduction over one contiguous row, so a
+    kernel's output does not depend on the block size.
+    """
+    row_cells = math.prod(shape[1:])
+    if shape[0] * row_cells <= _BLOCK_CELLS:  # one block: the whole array
+        return [(0, shape[0])], np.empty(shape)
+    ranges = _row_ranges(shape[0], row_cells, _BLOCK_CELLS)
+    return ranges, np.empty((ranges[0][1], *shape[1:]))
+
+
 def _pieces(n_rows: int, row_cells: int, render, workers: int):
     """``render(lo, hi)`` for consecutive row ranges of ``n_rows``, in row order.
 
@@ -77,8 +108,7 @@ def _pieces(n_rows: int, row_cells: int, render, workers: int):
     """
     if int(workers) != workers or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
-    step = max(1, _PIECE_CELLS // max(1, row_cells))
-    bounds = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    bounds = _row_ranges(n_rows, row_cells, _PIECE_CELLS)
     procs = min(workers, len(bounds), usable_cpus())
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
         return (render(lo, hi) for lo, hi in bounds)
@@ -92,7 +122,13 @@ def _forked_pieces(bounds, procs: int, render):
         for k in range(1, procs):
             r, w = os.pipe()
             try:
-                pid = os.fork()
+                # Python >= 3.12 warns here, in the parent, when other OS
+                # threads (a BLAS pool) exist.  The child only formats text
+                # and ends with os._exit, so the warning is ignored; raised,
+                # it would leave a child whose pid is lost.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
             except BaseException:
                 os.close(r)
                 os.close(w)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePortfolioError
-from .metaio import fmt_float, fmt_vector
+from .metaio import _blocks, fmt_float, fmt_vector
 
 __all__ = [
     "Objective",
@@ -117,8 +117,13 @@ def sphere(center) -> Objective:
         return float(dev @ dev)
 
     def batch(rows):
-        dev = rows - c
-        return (dev * dev).sum(axis=1)
+        # (dev * dev).sum(axis=1) for dev = rows - c, in row blocks.
+        out = np.empty(len(rows))
+        ranges, dev = _blocks(rows.shape)
+        for lo, hi in ranges:
+            block = np.subtract(rows[lo:hi], c, out=dev[: hi - lo])
+            np.multiply(block, block, out=block).sum(axis=1, out=out[lo:hi])
+        return out
 
     def grad(w):
         return 2.0 * (np.asarray(w, dtype=float) - c)
@@ -141,8 +146,23 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
         return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
 
     def batch(rows):
-        z = (rows - s) / scale
-        return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=1)
+        # (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=1) for
+        # z = (rows - s) / scale, in row blocks, one ufunc at a time.
+        out = np.empty(len(rows))
+        ranges, z_all = _blocks(rows.shape)
+        acc_all = np.empty_like(z_all)
+        for lo, hi in ranges:
+            z, acc = z_all[: hi - lo], acc_all[: hi - lo]
+            np.subtract(rows[lo:hi], s, out=z)
+            np.divide(z, scale, out=z)
+            np.multiply(z, z, out=acc)
+            np.multiply(2.0 * np.pi, z, out=z)
+            np.cos(z, out=z)
+            np.multiply(10.0, z, out=z)
+            np.subtract(acc, z, out=acc)
+            np.add(acc, 10.0, out=acc)
+            acc.sum(axis=1, out=out[lo:hi])
+        return out
 
     def grad(w):
         z = (np.asarray(w, dtype=float) - s) / scale

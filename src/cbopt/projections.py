@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import fmt_float, fmt_vector, parse_vector
+from .metaio import _blocks, fmt_float, fmt_vector, parse_vector
 
 __all__ = [
     "DEFAULT_MEMBERSHIP_TOL",
@@ -143,7 +143,11 @@ class BoxProjector(Projector):
 
 
 class BallProjector(Projector):
-    """Euclidean ball of given center and radius; projection is radial."""
+    """Euclidean ball of given center and radius; projection is radial.
+
+    Rows are projected in blocks by in-place ufuncs, with the bits of the
+    whole-array expression ``center + dev * scale`` for ``dev = v - center``.
+    """
 
     def __init__(self, center, radius: float):
         center = np.asarray(center, dtype=float)
@@ -158,11 +162,17 @@ class BallProjector(Projector):
 
     def project_rows(self, vs) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
-        dev = vs - self.center
-        dist = np.sqrt((dev * dev).sum(axis=1))
-        scale = np.ones_like(dist)
-        np.divide(self.radius, dist, out=scale, where=dist > self.radius)
-        return self.center + dev * scale[:, None]
+        out = np.empty(vs.shape)
+        ranges, scratch = _blocks(vs.shape)
+        for lo, hi in ranges:
+            dev = np.subtract(vs[lo:hi], self.center, out=out[lo:hi])
+            sq = np.multiply(dev, dev, out=scratch[: hi - lo])
+            dist = np.sqrt(sq.sum(axis=1))
+            scale = np.ones_like(dist)
+            np.divide(self.radius, dist, out=scale, where=dist > self.radius)
+            np.multiply(dev, scale[:, None], out=dev)
+            np.add(self.center, dev, out=dev)
+        return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
