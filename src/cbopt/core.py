@@ -252,13 +252,14 @@ def mean_pairwise_sq(positions):
     return _pairwise_sq(pos, pos.mean(axis=-2, keepdims=True))
 
 
-def _pairwise_sq(pos: np.ndarray, com: np.ndarray):
+def _pairwise_sq(pos: np.ndarray, com: np.ndarray, work: np.ndarray | None = None):
     """:func:`mean_pairwise_sq` of validated positions with center of mass ``com``.
 
     The squares are summed over each run's whole ``N*d`` block at once, so
-    this reduction is not cut into row blocks.
+    this reduction is not cut into row blocks.  ``work``, an array of
+    ``pos.shape``, takes the deviations instead of a fresh one.
     """
-    dev = pos - com
+    dev = np.subtract(pos, com, out=work)
     sq = np.multiply(dev, dev, out=dev).reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
     out = 2.0 * sq / (pos.shape[-2] - 1)
     return float(out) if pos.ndim == 2 else out
@@ -323,17 +324,29 @@ def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
     return np.matmul(w[..., None, :], ensemble.positions)[..., 0, :] / w.sum(-1)[..., None]
 
 
-def draw_step_noise(params: CboParams, dim: int, rng) -> StepNoise:
+def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> StepNoise:
     """Draw one step's standard-normal noise in the configured mode.
 
     ``rng`` is one ``Generator``, or a sequence of them with one per run;
     the values then gain a leading run axis, row r drawn from ``rng[r]``.
+
+    ``steps=K`` draws K steps at once: the values gain a step axis, after
+    the run axis if there is one.  A ``Generator`` fills an array one value
+    after another, so step k holds the bits of the (k+1)-th of K successive
+    single-step draws.
     """
     shape = (dim,) if params.noise_mode is NoiseMode.COMMON else (params.n_particles, dim)
+    if steps is not None:
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ConfigurationError("steps must be a positive integer")
+        shape = (int(steps), *shape)
     if isinstance(rng, np.random.Generator):
         values = rng.standard_normal(shape)
     else:
-        values = np.stack([g.standard_normal(shape) for g in rng])
+        gens = list(rng)
+        values = np.empty((len(gens), *shape))
+        for r, g in enumerate(gens):
+            g.standard_normal(out=values[r])
     return StepNoise(params.noise_mode, values)
 
 
@@ -394,7 +407,7 @@ def predictor_step(
     return out
 
 
-def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None) -> np.ndarray:
+def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None, dev=None) -> np.ndarray:
     """``||w_i - cons||`` for each row of ``(N, d)`` positions, or
     ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given.
 
@@ -402,15 +415,28 @@ def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None) -> np.ndarra
     norms are computed in its row blocks without a full-size temporary, with
     the bits of ``np.sqrt((t * t).sum(axis=1))`` for ``t = pos - cons``
     (times ``eta``).
+
+    ``dev`` is a second full-size array, for ``blocks`` of one range only:
+    a call without ``eta`` leaves ``pos - cons`` in it, and a call with
+    ``eta`` for the same ``pos`` and ``cons`` reads it instead of
+    subtracting again.
     """
     sq = np.empty(pos.shape[0])
     ranges, scratch = blocks
+    if dev is not None:
+        if eta is None:
+            np.multiply(np.subtract(pos, cons, out=dev), dev, out=scratch)
+        else:
+            np.multiply(dev, eta, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+        scratch.sum(axis=1, out=sq)
+        return np.sqrt(sq, out=sq)
     for lo, hi in ranges:
-        dev = np.subtract(pos[lo:hi], cons, out=scratch[: hi - lo])
+        t = np.subtract(pos[lo:hi], cons, out=scratch[: hi - lo])
         if eta is not None:
-            np.multiply(dev, _part(eta, lo, hi, 2), out=dev)
-        np.multiply(dev, dev, out=dev)
-        dev.sum(axis=1, out=sq[lo:hi])
+            np.multiply(t, _part(eta, lo, hi, 2), out=t)
+        np.multiply(t, t, out=t)
+        t.sum(axis=1, out=sq[lo:hi])
     return np.sqrt(sq, out=sq)
 
 
@@ -433,13 +459,16 @@ def _advance(
     projector,
     objective,
     rng,
+    noise: StepNoise | None = None,
 ) -> tuple[Ensemble, StepNoise]:
     """predictor -> corrector -> cache refresh; returns the noise used.
 
     For R stacked runs ``rng`` holds one Generator per run, and projection
-    and evaluation see all rows as one ``(R*N, d)`` block.
+    and evaluation see all rows as one ``(R*N, d)`` block.  A caller that
+    drew this step's ``noise`` already passes it, and ``rng`` is not used.
     """
-    noise = draw_step_noise(params, ensemble.dim, rng)
+    if noise is None:
+        noise = draw_step_noise(params, ensemble.dim, rng)
     raw = predictor_step(ensemble, consensus, params, noise)
     positions = projector.project_rows(raw.reshape(-1, ensemble.dim))
     values = objective.eval_many(positions)
@@ -502,6 +531,8 @@ def run(
     )
     rng = np.random.default_rng(noise_ss)
     blocks = _blocks(ensemble.positions.shape)
+    # One block: the residual pass keeps pos - cons for the B_n pass.
+    dev = np.empty(ensemble.positions.shape) if len(blocks[0]) == 1 else None
 
     trace = RunTrace()
     a_sum = 0.0
@@ -511,7 +542,7 @@ def run(
     while True:
         cons = consensus_point(ensemble, params.beta)
         pos = ensemble.positions
-        dist = _dev_norms(pos, cons, blocks)
+        dist = _dev_norms(pos, cons, blocks, dev=dev)
         residual = float(dist.max())
         a_sum += float(dist.mean())
         i = int(np.argmin(ensemble.objective_values))
@@ -525,7 +556,7 @@ def run(
         if stop:
             break
         ensemble, noise = _advance(ensemble, cons, params, projector, objective, rng)
-        b_sum += float(_dev_norms(pos, cons, blocks, noise.values).mean())
+        b_sum += float(_dev_norms(pos, cons, blocks, noise.values, dev).mean())
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

@@ -30,14 +30,17 @@ import numpy as np
 from .core import (
     CboParams,
     Ensemble,
+    NoiseMode,
     RunTrace,
+    StepNoise,
     _advance,
+    _pairwise_sq,
     consensus_point,
+    draw_step_noise,
     init_ensemble,
-    mean_pairwise_sq,
 )
 from .errors import ConfigurationError
-from .metaio import fmt_float
+from .metaio import _write_csv, fmt_float
 
 __all__ = [
     "Verdict",
@@ -53,6 +56,10 @@ __all__ = [
     "error_trace",
     "write_error_csv",
 ]
+
+# Noise values drawn at once by decay_experiment, over all runs: 256 KB, so
+# a block of steps stays in cache while the steps use it.
+_NOISE_CELLS = 1 << 15
 
 
 class Verdict(enum.Enum):
@@ -163,23 +170,10 @@ class DecayReport:
             "n,mean_pairwise_sq,pairwise_bound,pairwise_ok,"
             "mean_consensus_sq,consensus_bound,consensus_ok"
         )
-        lines = [header]
-        for i in range(len(self.iterations)):
-            lines.append(
-                ",".join(
-                    [
-                        str(int(self.iterations[i])),
-                        fmt_float(self.mean_pairwise_sq[i]),
-                        fmt_float(self.pairwise_bound[i]),
-                        "true" if self.pairwise_ok[i] else "false",
-                        fmt_float(self.mean_consensus_sq[i]),
-                        fmt_float(self.consensus_bound[i]),
-                        "true" if self.consensus_ok[i] else "false",
-                    ]
-                )
-            )
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, header, [
+            [str(int(n)) for n in self.iterations], self.mean_pairwise_sq, self.pairwise_bound,
+            self.pairwise_ok, self.mean_consensus_sq, self.consensus_bound, self.consensus_ok,
+        ])
 
 
 def decay_experiment(
@@ -199,8 +193,10 @@ def decay_experiment(
 
     Each run draws its start and noise from its own spawned seed; all runs
     advance together, one batched step per iteration, and are summed in
-    run-index order.  ``workers`` is validated but changes nothing, so the
-    report is identical for any value.
+    run-index order.  Each run's noise is drawn for a block of steps at a
+    time (about ``_NOISE_CELLS`` values over all runs), which gives the bits
+    of one draw per step.  ``workers`` is validated but changes nothing, so
+    the report is identical for any value.
     """
     if int(runs) != runs or runs < 1:
         raise ConfigurationError("runs must be a positive integer")
@@ -209,23 +205,34 @@ def decay_experiment(
     if int(workers) != workers or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     report = check_params(params)
+    dim = projector.dim
+    if init_mean is None:
+        init_mean = projector.project(np.zeros(dim))
     seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(runs)]
     starts = [
-        init_ensemble(projector.dim, params, init_mean, init_std, projector, objective, seed=s)
+        init_ensemble(dim, params, init_mean, init_std, projector, objective, seed=s)
         for s, _ in seeds
     ]
     rngs = [np.random.default_rng(s) for _, s in seeds]
     w0 = np.stack([e.positions for e in starts])
     ens = Ensemble(w0, np.stack([e.objective_values for e in starts]))
+    step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else w0[0].size)
+    block_steps = max(1, _NOISE_CELLS // step_cells)
+    work = np.empty(w0.shape)
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
     for n in range(horizon + 1):
-        run_pair[:, n] = mean_pairwise_sq(ens.positions)
+        pos = ens.positions
+        run_pair[:, n] = _pairwise_sq(pos, pos.mean(axis=-2, keepdims=True), work)
         cons = consensus_point(ens, params.beta)
-        dev = ens.positions - cons[:, None, :]
-        run_cons_sq[:, n] = (dev * dev).sum(axis=-1).mean(axis=-1)
+        np.subtract(pos, cons[:, None, :], out=work)
+        run_cons_sq[:, n] = np.multiply(work, work, out=work).sum(axis=-1).mean(axis=-1)
         if n < horizon:
-            ens, _ = _advance(ens, cons, params, projector, objective, rngs)
+            if n % block_steps == 0:
+                steps = min(block_steps, horizon - n)
+                block = draw_step_noise(params, dim, rngs, steps=steps).values
+            noise = StepNoise(params.noise_mode, block[:, n % block_steps])
+            ens, _ = _advance(ens, cons, params, projector, objective, rngs, noise)
 
     # np.add.accumulate adds the runs one at a time in run-index order, so
     # the totals do not depend on how the runs were batched.
@@ -315,13 +322,9 @@ def write_laplace_csv(points: list[LaplacePoint], path) -> None:
         raise ConfigurationError("no laplace points to write")
     dim = points[0].consensus.shape[0]
     header = "beta,gap," + ",".join(f"consensus_{i}" for i in range(dim))
-    lines = [header]
-    for p in points:
-        fields = [fmt_float(p.beta), fmt_float(p.gap)]
-        fields += [fmt_float(c) for c in p.consensus]
-        lines.append(",".join(fields))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, header, [
+        [p.beta for p in points], [p.gap for p in points], [p.consensus for p in points],
+    ])
 
 
 def error_trace(trace: RunTrace, reference) -> np.ndarray:
@@ -347,8 +350,4 @@ def error_trace(trace: RunTrace, reference) -> np.ndarray:
 
 
 def write_error_csv(iterations, errors, path) -> None:
-    lines = ["iter,err_ref"]
-    for n, e in zip(iterations, errors):
-        lines.append(f"{int(n)},{fmt_float(e)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, "iter,err_ref", [[str(int(n)) for n in iterations], list(errors)])

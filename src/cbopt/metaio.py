@@ -13,6 +13,7 @@ cache-sized blocks (:func:`_blocks`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -69,6 +70,30 @@ def fmt_rows(block) -> list[str]:
     Python floats once per block rather than once per cell.
     """
     return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one line per row, each row taking its cells from
+    ``columns`` in turn; rows stop at the shortest column.
+
+    A column of strings is written as it is, a boolean column as
+    ``true``/``false`` and any other column as floats with :func:`fmt_rows`
+    (a 2-D one gives several cells per row).  Adjacent float columns are
+    formatted as one block.
+    """
+    cols = [np.asarray(col) for col in columns]
+    rows = min(len(col) for col in cols)
+    cells = []
+    for kind, group in itertools.groupby((col[:rows] for col in cols), lambda c: c.dtype.kind):
+        if kind == "U":
+            cells += [col.tolist() for col in group]
+        elif kind == "b":
+            cells += [["true" if v else "false" for v in col.tolist()] for col in group]
+        else:
+            cells.append(fmt_rows(np.column_stack(list(group))))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]]:
