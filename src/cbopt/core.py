@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _blocks, _pieces, fmt_float, fmt_rows
+from .metaio import _all_finite, _block_ranges, _blocks, _each_block, _pieces, fmt_float, fmt_rows
 
 __all__ = [
     "NoiseMode",
@@ -141,7 +141,7 @@ class Ensemble:
             raise ConfigurationError("positions must be (N, d) or (R, N, d) with N >= 2")
         if vals.shape != pos.shape[:-1]:
             raise ConfigurationError("objective_values must have one entry per particle")
-        if not np.all(np.isfinite(pos)):
+        if not _all_finite(pos):
             raise NumericDomainError("ensemble positions must be finite")
         self.positions = pos
         self.objective_values = vals
@@ -256,11 +256,23 @@ def _pairwise_sq(pos: np.ndarray, com: np.ndarray, work: np.ndarray | None = Non
     """:func:`mean_pairwise_sq` of validated positions with center of mass ``com``.
 
     The squares are summed over each run's whole ``N*d`` block at once, so
-    this reduction is not cut into row blocks.  ``work``, an array of
-    ``pos.shape``, takes the deviations instead of a fresh one.
+    this reduction is not cut into row blocks; for one run larger than a
+    block the squares themselves are computed in row blocks
+    (:func:`metaio._each_block`).  ``work``, an array of ``pos.shape``,
+    takes the squares instead of a fresh one.
     """
-    dev = np.subtract(pos, com, out=work)
-    sq = np.multiply(dev, dev, out=dev).reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
+    if pos.ndim == 2 and len(ranges := _block_ranges(pos.shape)) > 1:
+        dev = np.empty(pos.shape) if work is None else work
+
+        def squares(lo, hi):
+            t = np.subtract(pos[lo:hi], com, out=dev[lo:hi])
+            np.multiply(t, t, out=t)
+
+        _each_block(ranges, squares)
+    else:
+        dev = np.subtract(pos, com, out=work)
+        np.multiply(dev, dev, out=dev)
+    sq = dev.reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
     out = 2.0 * sq / (pos.shape[-2] - 1)
     return float(out) if pos.ndim == 2 else out
 
@@ -291,7 +303,7 @@ def init_ensemble(
     if init_mean is None:
         init_mean = projector.project(np.zeros(dim))
     mean = np.asarray(init_mean, dtype=float)
-    if mean.shape != (dim,) or not np.all(np.isfinite(mean)):
+    if mean.shape != (dim,) or not _all_finite(mean):
         raise ConfigurationError(f"init_mean must be a finite {dim}-vector")
     rng = np.random.default_rng(params.seed if seed is None else seed)
     # init_std * z, then mean + that: the bits of the plain expression.
@@ -300,7 +312,7 @@ def init_ensemble(
     raw += mean
     positions = projector.project_rows(raw)
     values = objective.eval_many(positions)
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         raise NumericDomainError("non-finite objective value at iteration 0")
     return Ensemble(positions, values, iteration=0)
 
@@ -318,7 +330,7 @@ def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
     if not (beta >= 0) or not math.isfinite(beta):
         raise ConfigurationError("beta must be finite and >= 0")
     values = ensemble.objective_values
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         raise NumericDomainError("non-finite objective values in consensus computation")
     w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
     return np.matmul(w[..., None, :], ensemble.positions)[..., 0, :] / w.sum(-1)[..., None]
@@ -379,9 +391,9 @@ def predictor_step(
     evaluated rowwise; the input ensemble is not mutated.  A batched
     ensemble takes one consensus row per run.
 
-    The expression is evaluated in row blocks (whole runs when batched) by
-    in-place ufuncs with the same operands in the same order, so the bits
-    are those of the whole-array expression.
+    The expression is evaluated in row blocks (whole runs when batched),
+    on every usable CPU, by in-place ufuncs with the same operands in the
+    same order, so the bits are those of the whole-array expression.
     """
     consensus = np.asarray(consensus, dtype=float)
     pos = ensemble.positions
@@ -395,8 +407,8 @@ def predictor_step(
     drift = params.lam * params.h
     spread = params.sigma * math.sqrt(params.h)
     out = np.empty(pos.shape)
-    ranges, scratch = _blocks(pos.shape)
-    for lo, hi in ranges:
+
+    def body(lo, hi, scratch):
         w, new = pos[lo:hi], out[lo:hi]
         dev = np.subtract(w, _part(consensus, lo, hi, pos.ndim), out=scratch[: hi - lo])
         np.multiply(drift, dev, out=new)
@@ -404,6 +416,9 @@ def predictor_step(
         np.multiply(spread, dev, out=dev)
         np.multiply(dev, _part(eta, lo, hi, pos.ndim), out=dev)
         np.add(new, dev, out=new)
+
+    ranges, scratch = _blocks(pos.shape)
+    _each_block(ranges, body, scratch)
     return out
 
 
@@ -412,9 +427,9 @@ def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None, dev=None) ->
     ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given.
 
     ``blocks`` is ``metaio._blocks(pos.shape)``, made once per run.  The
-    norms are computed in its row blocks without a full-size temporary, with
-    the bits of ``np.sqrt((t * t).sum(axis=1))`` for ``t = pos - cons``
-    (times ``eta``).
+    norms are computed in its row blocks, on every usable CPU and without a
+    full-size temporary, with the bits of ``np.sqrt((t * t).sum(axis=1))``
+    for ``t = pos - cons`` (times ``eta``).
 
     ``dev`` is a second full-size array, for ``blocks`` of one range only:
     a call without ``eta`` leaves ``pos - cons`` in it, and a call with
@@ -431,12 +446,15 @@ def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None, dev=None) ->
             np.multiply(scratch, scratch, out=scratch)
         scratch.sum(axis=1, out=sq)
         return np.sqrt(sq, out=sq)
-    for lo, hi in ranges:
-        t = np.subtract(pos[lo:hi], cons, out=scratch[: hi - lo])
+
+    def body(lo, hi, buf):
+        t = np.subtract(pos[lo:hi], cons, out=buf[: hi - lo])
         if eta is not None:
             np.multiply(t, _part(eta, lo, hi, 2), out=t)
         np.multiply(t, t, out=t)
         t.sum(axis=1, out=sq[lo:hi])
+
+    _each_block(ranges, body, scratch)
     return np.sqrt(sq, out=sq)
 
 
@@ -472,7 +490,7 @@ def _advance(
     raw = predictor_step(ensemble, consensus, params, noise)
     positions = projector.project_rows(raw.reshape(-1, ensemble.dim))
     values = objective.eval_many(positions)
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         raise NumericDomainError(
             f"non-finite objective value at iteration {ensemble.iteration + 1}"
         )

@@ -8,7 +8,10 @@ exact binary value.  ``repr`` costs about a microsecond per float on one
 core, so the CSV writers hand large blocks to :func:`_pieces`, which
 formats them on several forked processes.  The same row ranges
 (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)`` arrays into
-cache-sized blocks (:func:`_blocks`).
+cache-sized blocks (:func:`_blocks`), and :func:`_each_block` runs a
+kernel's blocks on short-lived threads, up to one per usable CPU, joined
+before it returns.  Every block keeps its operands and ufunc order, so the
+bits do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -103,20 +106,89 @@ def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _blocks(shape) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _block_ranges(shape) -> list[tuple[int, int]]:
     """Row ranges of about ``_BLOCK_CELLS`` cells over the first axis of an
-    array of ``shape``, and one uninitialized scratch array that holds the
-    largest of them.
+    array of ``shape``; one range, the whole array, if it fits in a block."""
+    row_cells = math.prod(shape[1:])
+    if shape[0] * row_cells <= _BLOCK_CELLS:
+        return [(0, shape[0])]
+    return _row_ranges(shape[0], row_cells, _BLOCK_CELLS)
+
+
+def _blocks(shape) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """:func:`_block_ranges` of ``shape`` and one uninitialized scratch array
+    that holds the largest of them.
 
     Elementwise ufuncs give the same bits on a block as on the whole array,
     and every row sum stays one reduction over one contiguous row, so a
     kernel's output does not depend on the block size.
     """
-    row_cells = math.prod(shape[1:])
-    if shape[0] * row_cells <= _BLOCK_CELLS:  # one block: the whole array
-        return [(0, shape[0])], np.empty(shape)
-    ranges = _row_ranges(shape[0], row_cells, _BLOCK_CELLS)
+    ranges = _block_ranges(shape)
     return ranges, np.empty((ranges[0][1], *shape[1:]))
+
+
+def _each_block(ranges, body, *scratch) -> None:
+    """``body(lo, hi, *buffers)`` for every ``(lo, hi)`` in ``ranges``.
+
+    One range runs inline on ``scratch``.  More are shared by
+    P = ``min(len(ranges) // 2, usable_cpus())`` threads, each taking the
+    next range in turn, so a thread the host starts late takes fewer.  P
+    leaves at least two ranges per thread: one 1 MB block is about as much
+    work as starting a thread and faulting in its output.  Thread 0 is the
+    caller and uses ``scratch``; every other thread gets fresh arrays shaped
+    like it, allocated here on the calling thread.  Each worker runs
+    under the caller's numpy error state; every thread is joined before this
+    returns or raises, so :func:`_pieces` may fork again afterwards, and the
+    first worker exception is re-raised here.
+
+    ``body`` must write only rows ``lo:hi`` of its outputs and its own
+    buffers, allocate nothing full-size and call no public function.  Its
+    blocks then get the same bits on any number of threads.
+    """
+    if len(ranges) == 1:
+        body(*ranges[0], *scratch)
+        return
+    procs = min(len(ranges) // 2, usable_cpus())
+    todo = iter(ranges)  # shared by the threads: next() holds the GIL
+    settings = np.geterr()
+    call = np.geterrcall()
+    errors = []
+
+    def share(buffers) -> None:
+        try:
+            with np.errstate(call=call, **settings):
+                for lo, hi in todo:
+                    body(lo, hi, *buffers)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, procs):
+            buffers = tuple(np.empty_like(a) for a in scratch)
+            threads.append(threading.Thread(target=share, args=(buffers,), name=f"block-{k}"))
+            threads[-1].start()
+        for lo, hi in todo:
+            body(lo, hi, *scratch)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """``np.all(np.isfinite(arr))``, usually from one sum and no temporary.
+
+    Any NaN or infinity makes the sum non-finite, so a finite sum proves
+    every entry finite; a non-finite one (which finite entries give when
+    the sum overflows) takes the full test.  The sum's overflow and
+    ``inf - inf`` signals are ignored, so the verdict neither warns nor
+    raises under any numpy error state.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    return math.isfinite(total) or bool(np.isfinite(arr).all())
 
 
 def _pieces(n_rows: int, row_cells: int, render, workers: int):

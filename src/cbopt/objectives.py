@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePortfolioError
-from .metaio import _blocks, fmt_float, fmt_vector
+from .metaio import _blocks, _each_block, fmt_float, fmt_vector
 
 __all__ = [
     "Objective",
@@ -119,10 +119,13 @@ def sphere(center) -> Objective:
     def batch(rows):
         # (dev * dev).sum(axis=1) for dev = rows - c, in row blocks.
         out = np.empty(len(rows))
-        ranges, dev = _blocks(rows.shape)
-        for lo, hi in ranges:
+
+        def body(lo, hi, dev):
             block = np.subtract(rows[lo:hi], c, out=dev[: hi - lo])
             np.multiply(block, block, out=block).sum(axis=1, out=out[lo:hi])
+
+        ranges, dev = _blocks(rows.shape)
+        _each_block(ranges, body, dev)
         return out
 
     def grad(w):
@@ -149,9 +152,8 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
         # (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=1) for
         # z = (rows - s) / scale, in row blocks, one ufunc at a time.
         out = np.empty(len(rows))
-        ranges, z_all = _blocks(rows.shape)
-        acc_all = np.empty_like(z_all)
-        for lo, hi in ranges:
+
+        def body(lo, hi, z_all, acc_all):
             z, acc = z_all[: hi - lo], acc_all[: hi - lo]
             np.subtract(rows[lo:hi], s, out=z)
             np.divide(z, scale, out=z)
@@ -162,6 +164,9 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
             np.subtract(acc, z, out=acc)
             np.add(acc, 10.0, out=acc)
             acc.sum(axis=1, out=out[lo:hi])
+
+        ranges, z_all = _blocks(rows.shape)
+        _each_block(ranges, body, z_all, np.empty_like(z_all))
         return out
 
     def grad(w):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _blocks, fmt_float, fmt_vector, parse_vector
+from .metaio import _all_finite, _blocks, _each_block, fmt_float, fmt_vector, parse_vector
 
 __all__ = [
     "DEFAULT_MEMBERSHIP_TOL",
@@ -40,7 +40,7 @@ def _as_rows(vs, dim: int) -> np.ndarray:
         raise ConfigurationError(
             f"expected an (m, {dim}) array of row vectors, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise NumericDomainError("projection input contains non-finite entries")
     return arr
 
@@ -145,8 +145,9 @@ class BoxProjector(Projector):
 class BallProjector(Projector):
     """Euclidean ball of given center and radius; projection is radial.
 
-    Rows are projected in blocks by in-place ufuncs, with the bits of the
-    whole-array expression ``center + dev * scale`` for ``dev = v - center``.
+    Rows are projected in blocks, on every usable CPU, by in-place ufuncs,
+    with the bits of the whole-array expression ``center + dev * scale``
+    for ``dev = v - center``.
     """
 
     def __init__(self, center, radius: float):
@@ -163,8 +164,8 @@ class BallProjector(Projector):
     def project_rows(self, vs) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
         out = np.empty(vs.shape)
-        ranges, scratch = _blocks(vs.shape)
-        for lo, hi in ranges:
+
+        def body(lo, hi, scratch):
             dev = np.subtract(vs[lo:hi], self.center, out=out[lo:hi])
             sq = np.multiply(dev, dev, out=scratch[: hi - lo])
             dist = np.sqrt(sq.sum(axis=1))
@@ -172,6 +173,9 @@ class BallProjector(Projector):
             np.divide(self.radius, dist, out=scale, where=dist > self.radius)
             np.multiply(dev, scale[:, None], out=dev)
             np.add(self.center, dev, out=dev)
+
+        ranges, scratch = _blocks(vs.shape)
+        _each_block(ranges, body, scratch)
         return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
