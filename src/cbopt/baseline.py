@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .metaio import fmt_float, fmt_vector
+from .metaio import _is_int, fmt_float, fmt_vector
 
 __all__ = [
     "ReferenceSolution",
@@ -57,7 +57,7 @@ def simplex_lattice(d: int, step: float) -> np.ndarray:
     lexicographically ascending order, which the grid search relies on for
     its tie-breaking rule.
     """
-    if int(d) != d or d < 1:
+    if not _is_int(d) or d < 1:
         raise ConfigurationError("d must be a positive integer")
     if not (0 < float(step) <= 1):
         raise ConfigurationError("step must be in (0, 1]")
@@ -67,15 +67,23 @@ def simplex_lattice(d: int, step: float) -> np.ndarray:
         raise ConfigurationError(f"1/step = {k_float!r} is not an integer")
     # Integer compositions of k, one column at a time: each prefix with sum
     # s gets the next coordinate 0..k-s as a contiguous ascending block, so
-    # rows stay lexicographic; the last column is what remains of k.
-    prefixes = np.zeros((1, 0), dtype=np.int64)
+    # rows stay lexicographic; the last column is what remains of k.  A
+    # prefix with sum s and r columns still to fill heads C(k-s+r-1, r-1)
+    # rows, so each column is its values repeated that many times.
+    out = np.empty((math.comb(k + d - 1, d - 1), d))
     sums = np.zeros(1, dtype=np.int64)
-    for _ in range(d - 1):
+    for col in range(d - 1):
         counts = k - sums + 1
         nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        prefixes = np.hstack([np.repeat(prefixes, counts, axis=0), nxt[:, None]])
         sums = np.repeat(sums, counts) + nxt
-    return np.hstack([prefixes, (k - sums)[:, None]]).astype(float) / k
+        left = d - col - 1
+        if left > 1:  # with one column left every prefix heads one row
+            rows = np.array([math.comb(t + left - 1, left - 1) for t in range(k + 1)])
+            nxt = np.repeat(nxt, rows[k - sums])
+        out[:, col] = nxt
+    out[:, d - 1] = k - sums
+    out /= k
+    return out
 
 
 def grid_search_simplex(
@@ -88,9 +96,9 @@ def grid_search_simplex(
     evaluated in fixed chunks on the calling thread; ``workers`` is
     validated but does not change execution or the result.
     """
-    if int(d) != d or not (1 <= d <= MAX_GRID_DIM):
+    if not _is_int(d) or not (1 <= d <= MAX_GRID_DIM):
         raise ConfigurationError(f"grid search supports 1 <= d <= {MAX_GRID_DIM}")
-    if int(workers) != workers or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     points = simplex_lattice(d, step)
     chunks = range(0, len(points), _EVAL_CHUNK)
@@ -128,7 +136,7 @@ def projected_gradient(
     """
     if not (float(step_size) > 0) or not math.isfinite(step_size):
         raise ConfigurationError("step_size must be finite and positive")
-    if int(iters) != iters or iters < 0:
+    if not _is_int(iters) or iters < 0:
         raise ConfigurationError("iters must be a nonnegative integer")
     w = np.asarray(w0, dtype=float).copy()
     if not projector.contains(w, tol=1e-8):

@@ -3,10 +3,15 @@
 Every command reads an optional flat ``key=value`` config file (``#``
 comments allowed); explicit flags override file values, which override
 built-in defaults.  The resolved config is echoed into the command's
-``*_meta.txt`` artifact.  Execution-only knobs (``--out``, ``--workers``,
-``--config``) are deliberately excluded from that echo so artifacts stay
-byte-identical across worker counts and output locations.  A config key
-that no command reads is an error.
+``*_meta.txt`` artifact.  A config key that no command reads is an error.
+
+``_OPTIONS`` is the one place to add an option: its row gives the config
+key, the flag, the caster, the default, the help text and the commands
+that read it, and argparse, config parsing and the echo all follow it.
+Only the execution-only arguments live outside it: ``--config``,
+``--out``, ``--workers`` and ingest's ``prices`` path.  They are never
+echoed, so artifacts stay byte-identical across worker counts and output
+locations.
 
 All artifacts land inside the ``--out`` directory; nothing is written
 anywhere else.  Exit status is 0 on success, 1 on any library error, and
@@ -27,47 +32,56 @@ from .errors import CbOptError, ConfigurationError
 from .metaio import fmt_float, fmt_vector, parse_metadata, usable_cpus, write_metadata
 
 
-def _flag(raw: str) -> bool:
-    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError("expected true/false, 1/0 or yes/no")
-    return raw.lower() in ("true", "1", "yes")
-
-
-def _one_of(*choices):
-    def cast(raw: str) -> str:
-        if raw not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}")
-        return raw
-
-    return cast
-
-
-# (config key, argparse dest, caster, default)
-_SOLVER_OPTS = [
-    ("lambda", "lam", float, 1.0),
-    ("sigma", "sigma", float, 0.5),
-    ("beta", "beta", float, 1000.0),
-    ("h", "h", float, 0.1),
-    ("particles", "particles", int, 100),
-    ("max_iters", "max_iters", int, 10_000),
-    ("tol", "tol", float, 1e-8),
-    ("noise", "noise", _one_of("common", "independent"), "common"),
-    ("seed", "seed", int, 0),
-    ("init_std", "init_std", float, 1.0),
+# One row per config key: (key, caster, default, commands that read it, help).
+# The flag is --key with "-" for "_".  A tuple caster lists the choices and
+# bool is a switch; every other caster is the argparse type.  Row order is
+# the order of the ``*_meta.txt`` echo.
+_RUN = ("solve", "frontier", "diagnose")
+_PROBLEM = ("solve", "diagnose")
+_OPTIONS = [
+    ("lambda", float, 1.0, _RUN, "drift rate toward consensus"),
+    ("sigma", float, 0.5, _RUN, "noise intensity"),
+    ("beta", float, 1000.0, _RUN, "consensus concentration parameter"),
+    ("h", float, 0.1, _RUN, "Euler step size"),
+    ("particles", int, 100, _RUN, "ensemble size"),
+    ("max_iters", int, 10_000, _RUN, "iteration cap"),
+    ("tol", float, 1e-8, _RUN, "residual stopping tolerance"),
+    ("noise", ("common", "independent"), "common", _RUN, "one noise draw per step or per particle"),
+    ("seed", int, 0, ("synth", "ingest", *_RUN), "random seed"),
+    ("init_std", float, 1.0, _RUN, "spread of the initial ensemble"),
+    ("objective", ("sharpe", "sphere", "rastrigin"), "sharpe", _PROBLEM, "function to minimize"),
+    ("stats", str, None, _RUN, "stats file from the ingest command"),
+    ("dim", int, None, _PROBLEM, "dimension for non-market objectives"),
+    ("projector", str, None, _PROBLEM, "simplex:d | box:lo,hi | ball:center,radius"),
+    ("scale", float, 1.0, _PROBLEM, "rastrigin coordinate scale"),
+    # ingest stores rf (0 when unset); the other commands override the stats file's.
+    ("rf", float, None, ("ingest", *_RUN), "risk-free rate"),
+    ("runs", int, 100, ("diagnose",), "independent decay trajectories"),
+    ("horizon", int, 50, ("diagnose",), "iterations per trajectory"),
+    ("betas", str, "0,1,10,100,1000", ("diagnose",), "comma-separated ascending betas"),
+    ("reference", ("auto", "none"), "auto", _PROBLEM, "grid reference on a simplex of d <= 4"),
+    ("grid_step", float, 0.01, _PROBLEM, "reference grid spacing"),
+    ("thin", int, 1, ("solve",), "trace thinning stride"),
+    ("samples", int, 10_000, ("frontier",), "number of sampled portfolios"),
+    ("svg", bool, False, ("frontier",), "emit frontier.svg"),
+    ("assets", int, 6, ("synth",), "number of assets"),
+    ("rows", int, 500, ("synth",), "number of price rows"),
 ]
-
-_PROBLEM_OPTS = [
-    ("objective", "objective", _one_of("sharpe", "sphere", "rastrigin"), "sharpe"),
-    ("stats", "stats", str, None),
-    ("dim", "dim", int, None),
-    ("projector", "projector", str, None),
-    ("scale", "scale", float, 1.0),
-    ("rf", "rf", float, None),
-]
+# Keys any command reads, so one config file can drive the whole pipeline.
+_CONFIG_KEYS = {row[0] for row in _OPTIONS}
 
 
 def _cast(key: str, raw: str, caster):
+    """A config-file value through its row's caster."""
     try:
+        if isinstance(caster, tuple):
+            if raw not in caster:
+                raise ValueError(f"expected one of {', '.join(caster)}")
+            return raw
+        if caster is bool:
+            if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+                raise ValueError("expected true/false, 1/0 or yes/no")
+            return raw.lower() in ("true", "1", "yes")
         return caster(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"config value {key}={raw!r}: {exc}") from exc
@@ -81,19 +95,21 @@ def _read_text(path) -> str:
         raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _resolve(args, spec) -> dict:
-    """flags > config file > defaults, keyed by config-key name."""
+def _resolve(args) -> dict:
+    """The command's keys in table order: flags > config file > defaults."""
     from_file: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         from_file = parse_metadata(_read_text(args.config))
     unknown = sorted(set(from_file) - _CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     resolved = {}
-    for key, dest, caster, default in spec:
-        flag_value = getattr(args, dest, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    for key, caster, default, readers, _about in _OPTIONS:
+        if args.command not in readers:
+            continue
+        flag = getattr(args, key)
+        if flag is not None:
+            resolved[key] = flag
         elif key in from_file:
             resolved[key] = _cast(key, from_file[key], caster)
         else:
@@ -101,15 +117,15 @@ def _resolve(args, spec) -> dict:
     return resolved
 
 
-def _echo(cfg: dict, spec) -> dict:
-    """Resolved config in spec order, for the metadata artifact."""
-    out = {}
-    for key, _dest, _caster, _default in spec:
-        value = cfg[key]
-        if value is None:
-            continue
-        out[key] = value
-    return out
+def _write_meta(out: Path, command: str, cfg: dict, objective, projector, reference=None):
+    """``<command>_meta.txt``: the set keys of the resolved config, then the problem."""
+    meta = {"command": command}
+    meta.update((key, value) for key, value in cfg.items() if value is not None)
+    meta["objective_id"] = objective.descriptor
+    meta["projector_id"] = projector.describe()
+    if reference is not None:
+        meta.update(reference.to_metadata())
+    write_metadata(out / f"{command}_meta.txt", meta)
 
 
 def _out_dir(args) -> Path:
@@ -187,27 +203,18 @@ def _build_problem(cfg: dict):
     return objective, projector, stats
 
 
-def _maybe_reference(cfg, objective, projector, workers):
+def _maybe_reference(cfg, objective, projector):
     if cfg["reference"] == "none":
         return None
     if isinstance(projector, projections.SimplexProjector) and projector.dim <= baseline.MAX_GRID_DIM:
-        return baseline.grid_search_simplex(
-            objective, projector.dim, cfg["grid_step"], workers=workers
-        )
+        return baseline.grid_search_simplex(objective, projector.dim, cfg["grid_step"])
     return None
 
 
 # ----------------------------------------------------------------- commands
 
-_SYNTH_OPTS = [
-    ("assets", "assets", int, 6),
-    ("rows", "rows", int, 500),
-    ("seed", "seed", int, 0),
-]
-
-
 def cmd_synth(args) -> int:
-    cfg = _resolve(args, _SYNTH_OPTS)
+    cfg = _resolve(args)
     out = _out_dir(args)
     mu, sigma = market.demo_market(cfg["assets"])
     series = market.synthetic_market(cfg["seed"], cfg["assets"], cfg["rows"], mu, sigma)
@@ -218,15 +225,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_INGEST_OPTS = [("rf", "rf", float, 0.0)]
-
-
 def cmd_ingest(args) -> int:
-    cfg = _resolve(args, _INGEST_OPTS)
+    rf = _resolve(args)["rf"]
     out = _out_dir(args)
     series = market.parse_prices(_read_text(args.prices))
     returns = market.log_returns(series)
-    stats = market.estimate_stats(returns, rf=cfg["rf"])
+    stats = market.estimate_stats(returns, rf=0.0 if rf is None else rf)
     with open(out / "stats.txt", "w", newline="\n") as fh:
         fh.write(market.format_stats(stats))
     print(
@@ -236,37 +240,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-_SOLVE_OPTS = _SOLVER_OPTS + _PROBLEM_OPTS + [
-    ("reference", "reference", _one_of("auto", "none"), "auto"),
-    ("grid_step", "grid_step", float, 0.01),
-    ("thin", "thin", int, 1),
-]
-
-
 def cmd_solve(args) -> int:
-    cfg = _resolve(args, _SOLVE_OPTS)
+    cfg = _resolve(args)
     out = _out_dir(args)
-    workers = args.workers or usable_cpus()
     objective, projector, stats = _build_problem(cfg)
     (solve_seed,) = _derived_seeds(cfg["seed"], 1)
     params = _cbo_params(cfg, solve_seed)
     report = diagnostics.check_params(params)
 
     result = run(objective, projector, params, init_std=cfg["init_std"], thin=cfg["thin"])
-    reference = _maybe_reference(cfg, objective, projector, workers)
+    reference = _maybe_reference(cfg, objective, projector)
     if reference is not None:
         errors = diagnostics.error_trace(result.trace, reference)
         diagnostics.write_error_csv(result.trace.iterations(), errors, out / "error_trace.csv")
 
-    write_trace_csv(result.trace, out / "trace.csv", workers=workers)
-
-    meta = {"command": "solve"}
-    meta.update(_echo(cfg, _SOLVE_OPTS))
-    meta["objective_id"] = objective.descriptor
-    meta["projector_id"] = projector.describe()
-    if reference is not None:
-        meta.update(reference.to_metadata())
-    write_metadata(out / "solve_meta.txt", meta)
+    write_trace_csv(result.trace, out / "trace.csv", workers=args.workers or usable_cpus())
+    _write_meta(out, "solve", cfg, objective, projector, reference)
 
     final = result.trace.records[-1]
     weights, value = fmt_vector(result.point), fmt_float(objective(result.point))
@@ -295,25 +284,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
-_FRONTIER_OPTS = _SOLVER_OPTS + [
-    ("stats", "stats", str, None),
-    ("rf", "rf", float, None),
-    ("samples", "samples", int, 10_000),
-    ("svg", "svg", _flag, False),
-]
-
-
 def cmd_frontier(args) -> int:
-    cfg = _resolve(args, _FRONTIER_OPTS)
+    cfg = _resolve(args)
     out = _out_dir(args)
-    workers = args.workers or usable_cpus()
     stats = _load_stats(cfg)
     projector = projections.simplex(stats.dim)
     objective = objectives.neg_sharpe(stats)
     cbo_seed, cloud_seed = _derived_seeds(cfg["seed"], 2)
 
-    cloud = market.sample_frontier(stats, cfg["samples"], cloud_seed, workers=workers)
-    market.write_frontier_csv(cloud, out / "frontier.csv", workers=workers)
+    cloud = market.sample_frontier(stats, cfg["samples"], cloud_seed)
+    market.write_frontier_csv(cloud, out / "frontier.csv", workers=args.workers or usable_cpus())
 
     params = _cbo_params(cfg, cbo_seed)
     result = run(objective, projector, params, init_std=cfg["init_std"])
@@ -338,11 +318,7 @@ def cmd_frontier(args) -> int:
             "tangency_ret": fmt_float(ret),
         },
     )
-    meta = {"command": "frontier"}
-    meta.update(_echo(cfg, _FRONTIER_OPTS))
-    meta["objective_id"] = objective.descriptor
-    meta["projector_id"] = projector.describe()
-    write_metadata(out / "frontier_meta.txt", meta)
+    _write_meta(out, "frontier", cfg, objective, projector)
 
     if cfg["svg"]:
         with open(out / "frontier.svg", "w", newline="\n") as fh:
@@ -355,28 +331,14 @@ def cmd_frontier(args) -> int:
     return 0
 
 
-_DIAGNOSE_OPTS = _SOLVER_OPTS + _PROBLEM_OPTS + [
-    ("runs", "runs", int, 100),
-    ("horizon", "horizon", int, 50),
-    ("betas", "betas", str, "0,1,10,100,1000"),
-    ("reference", "reference", _one_of("auto", "none"), "auto"),
-    ("grid_step", "grid_step", float, 0.01),
-]
-
-# Keys any command reads, so one config file can drive the whole pipeline.
-_ALL_SPECS = (_SYNTH_OPTS, _INGEST_OPTS, _SOLVE_OPTS, _FRONTIER_OPTS, _DIAGNOSE_OPTS)
-_CONFIG_KEYS = {opt[0] for spec in _ALL_SPECS for opt in spec}
-
-
 def cmd_diagnose(args) -> int:
-    cfg = _resolve(args, _DIAGNOSE_OPTS)
+    cfg = _resolve(args)
     betas = _cast(
         "betas",
         cfg["betas"],
         lambda raw: diagnostics.check_betas(float(t) for t in raw.split(",") if t.strip()),
     )
     out = _out_dir(args)
-    workers = args.workers or 1
     objective, projector, _stats = _build_problem(cfg)
     decay_seed, laplace_seed, solve_seed = _derived_seeds(cfg["seed"], 3)
     params = _cbo_params(cfg, solve_seed)
@@ -390,7 +352,6 @@ def cmd_diagnose(args) -> int:
         horizon=cfg["horizon"],
         seed=decay_seed,
         init_std=cfg["init_std"],
-        workers=workers,
     )
     decay.write_csv(out / "decay.csv")
 
@@ -406,7 +367,7 @@ def cmd_diagnose(args) -> int:
     points = diagnostics.laplace_sweep(ensemble, betas)
     diagnostics.write_laplace_csv(points, out / "laplace.csv")
 
-    reference = _maybe_reference(cfg, objective, projector, workers)
+    reference = _maybe_reference(cfg, objective, projector)
     if reference is not None:
         result = run(objective, projector, params, init_std=cfg["init_std"])
         errors = diagnostics.error_trace(result.trace, reference)
@@ -428,13 +389,7 @@ def cmd_diagnose(args) -> int:
     with open(out / "diagnose_summary.txt", "w", newline="\n") as fh:
         fh.write(summary)
 
-    meta = {"command": "diagnose"}
-    meta.update(_echo(cfg, _DIAGNOSE_OPTS))
-    meta["objective_id"] = objective.descriptor
-    meta["projector_id"] = projector.describe()
-    if reference is not None:
-        meta.update(reference.to_metadata())
-    write_metadata(out / "diagnose_meta.txt", meta)
+    _write_meta(out, "diagnose", cfg, objective, projector, reference)
 
     print(summary, end="")
     return 0
@@ -511,86 +466,42 @@ def _svg_pieces(cloud, intercept, slope, tangency):
 
 # ------------------------------------------------------------------- parser
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--out", help="output directory (default: current)")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument(
-        "--workers", type=int,
-        help="cap on the processes that format trace.csv and frontier.csv "
-             "(default: usable CPUs; 1 never forks)",
-    )
-
-
-def _add_solver(sp) -> None:
-    sp.add_argument("--lambda", dest="lam", type=float, help="drift rate toward consensus")
-    sp.add_argument("--sigma", type=float, help="noise intensity")
-    sp.add_argument("--beta", type=float, help="consensus concentration parameter")
-    sp.add_argument("--h", type=float, help="Euler step size")
-    sp.add_argument("--particles", type=int, help="ensemble size")
-    sp.add_argument("--max-iters", dest="max_iters", type=int)
-    sp.add_argument("--tol", type=float, help="residual stopping tolerance")
-    sp.add_argument("--noise", choices=["common", "independent"])
-    sp.add_argument("--init-std", dest="init_std", type=float)
-
-
-def _add_problem(sp) -> None:
-    sp.add_argument("--objective", choices=["sharpe", "sphere", "rastrigin"])
-    sp.add_argument("--stats", help="stats file from the ingest command")
-    sp.add_argument("--dim", type=int, help="dimension for non-market objectives")
-    sp.add_argument("--projector", help="simplex:d | box:lo,hi | ball:center,radius")
-    sp.add_argument("--scale", type=float, help="rastrigin coordinate scale")
-    sp.add_argument("--rf", type=float, help="risk-free rate override")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbopt",
         description="Consensus ensemble optimization pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synth", help="write a synthetic prices CSV")
-    _add_common(sp)
-    sp.add_argument("--assets", type=int)
-    sp.add_argument("--rows", type=int)
-    sp.set_defaults(func=cmd_synth)
-
-    sp = sub.add_parser("ingest", help="prices CSV -> return stats artifact")
-    _add_common(sp)
-    sp.add_argument("prices", help="path to the prices CSV")
-    sp.add_argument("--rf", type=float, help="risk-free rate to store")
-    sp.set_defaults(func=cmd_ingest)
-
-    sp = sub.add_parser("solve", help="run the consensus solver")
-    _add_common(sp)
-    _add_solver(sp)
-    _add_problem(sp)
-    sp.add_argument("--reference", choices=["auto", "none"])
-    sp.add_argument("--grid-step", dest="grid_step", type=float)
-    sp.add_argument("--thin", type=int, help="trace thinning stride")
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("frontier", help="sample portfolios and fit the CML")
-    _add_common(sp)
-    _add_solver(sp)
-    sp.add_argument("--stats", help="stats file from the ingest command")
-    sp.add_argument("--rf", type=float, help="risk-free rate override")
-    sp.add_argument("--samples", type=int, help="number of sampled portfolios")
-    sp.add_argument("--svg", action="store_const", const=True, help="emit frontier.svg")
-    sp.set_defaults(func=cmd_frontier)
-
-    sp = sub.add_parser("diagnose", help="parameter checks and decay reports")
-    _add_common(sp)
-    _add_solver(sp)
-    _add_problem(sp)
-    sp.add_argument("--runs", type=int, help="independent decay trajectories")
-    sp.add_argument("--horizon", type=int, help="iterations per trajectory")
-    sp.add_argument("--betas", help="comma-separated ascending betas")
-    sp.add_argument("--reference", choices=["auto", "none"])
-    sp.add_argument("--grid-step", dest="grid_step", type=float)
-    sp.set_defaults(func=cmd_diagnose)
-
+    commands = [
+        ("synth", cmd_synth, "write a synthetic prices CSV"),
+        ("ingest", cmd_ingest, "prices CSV -> return stats artifact"),
+        ("solve", cmd_solve, "run the consensus solver"),
+        ("frontier", cmd_frontier, "sample portfolios and fit the CML"),
+        ("diagnose", cmd_diagnose, "parameter checks and decay reports"),
+    ]
+    for name, func, help_text in commands:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        # Execution-only: never resolved from a config file or echoed.
+        sp.add_argument("--config", help="flat key=value config file")
+        sp.add_argument("--out", help="output directory (default: current)")
+        sp.add_argument(
+            "--workers", type=int,
+            help="cap on the processes that format trace.csv and frontier.csv "
+                 "(default: usable CPUs; 1 never forks)",
+        )
+        if name == "ingest":
+            sp.add_argument("prices", help="path to the prices CSV")
+        for key, caster, _default, readers, about in _OPTIONS:
+            if name not in readers:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(caster, tuple):
+                sp.add_argument(flag, dest=key, choices=caster, help=about)
+            elif caster is bool:
+                sp.add_argument(flag, dest=key, action="store_const", const=True, help=about)
+            else:
+                sp.add_argument(flag, dest=key, type=caster, help=about)
     return parser
 
 

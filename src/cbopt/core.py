@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _all_finite, _block_ranges, _blocks, _each_block, _pieces, fmt_float, fmt_rows
+from .metaio import (
+    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _pieces, fmt_float, fmt_rows
+)
 
 __all__ = [
     "NoiseMode",
@@ -96,13 +98,13 @@ class CboParams:
             raise ConfigurationError("beta must be finite and > 0")
         if not (float(self.h) > 0) or not math.isfinite(self.h):
             raise ConfigurationError("h must be finite and > 0")
-        if int(self.n_particles) != self.n_particles or self.n_particles < 2:
+        if not _is_int(self.n_particles) or self.n_particles < 2:
             raise ConfigurationError("n_particles must be an integer >= 2")
         if not isinstance(self.noise_mode, NoiseMode):
             raise ConfigurationError("noise_mode must be a NoiseMode")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
+        if not _is_int(self.max_iters) or self.max_iters < 0:
             raise ConfigurationError("max_iters must be an integer >= 0")
         # NaN fails this comparison too; +inf is allowed (stop immediately).
         if not (float(self.residual_tol) >= 0):
@@ -349,7 +351,7 @@ def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> StepNoise:
     """
     shape = (dim,) if params.noise_mode is NoiseMode.COMMON else (params.n_particles, dim)
     if steps is not None:
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        if not _is_int(steps) or steps < 1:
             raise ConfigurationError("steps must be a positive integer")
         shape = (int(steps), *shape)
     if isinstance(rng, np.random.Generator):
@@ -540,7 +542,7 @@ def run(
     state.  The returned ``point`` is the final consensus point projected
     onto the feasible set.
     """
-    if int(thin) != thin or thin < 1:
+    if not _is_int(thin) or thin < 1:
         raise ConfigurationError("thin must be an integer >= 1")
     ss = np.random.SeedSequence(params.seed)
     init_ss, noise_ss = ss.spawn(2)

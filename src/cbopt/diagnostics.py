@@ -40,7 +40,7 @@ from .core import (
     init_ensemble,
 )
 from .errors import ConfigurationError
-from .metaio import _write_csv, fmt_float
+from .metaio import _is_int, _write_csv, fmt_float
 
 __all__ = [
     "Verdict",
@@ -198,11 +198,11 @@ def decay_experiment(
     of one draw per step.  ``workers`` is validated but changes nothing, so
     the report is identical for any value.
     """
-    if int(runs) != runs or runs < 1:
+    if not _is_int(runs) or runs < 1:
         raise ConfigurationError("runs must be a positive integer")
-    if int(horizon) != horizon or horizon < 0:
+    if not _is_int(horizon) or horizon < 0:
         raise ConfigurationError("horizon must be a nonnegative integer")
-    if int(workers) != workers or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     report = check_params(params)
     dim = projector.dim

@@ -24,7 +24,7 @@ from .errors import (
     EstimationError,
     IngestionError,
 )
-from .metaio import _pieces, fmt_float, fmt_rows, fmt_vector, parse_vector
+from .metaio import _is_int, _pieces, fmt_float, fmt_rows, fmt_vector, parse_vector
 from .objectives import DEFAULT_VAR_FLOOR, MarketStats, row_variances
 
 __all__ = [
@@ -261,9 +261,9 @@ def synthetic_market(
     mean ``mu_true`` and covariance ``sigma_true`` (PSD; singular is fine).
     Deterministic for a given seed.
     """
-    if int(d) != d or d < 1:
+    if not _is_int(d) or d < 1:
         raise ConfigurationError("d must be a positive integer")
-    if int(n_periods) != n_periods or n_periods < 2:
+    if not _is_int(n_periods) or n_periods < 2:
         raise ConfigurationError("n_periods must be an integer >= 2")
     mu = np.asarray(mu_true, dtype=float)
     sigma = np.asarray(sigma_true, dtype=float)
@@ -288,7 +288,7 @@ def synthetic_market(
 def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic demo moments: distinct vol/return profiles with a
     mildly banded correlation structure (rho^|i-j|, rho = 0.3)."""
-    if int(d) != d or d < 1:
+    if not _is_int(d) or d < 1:
         raise ConfigurationError("d must be a positive integer")
     vols = np.linspace(0.010, 0.030, d)
     idx = np.arange(d)
@@ -319,9 +319,9 @@ def sample_frontier(
     the calling thread; ``workers`` is validated but does not change
     execution, so results are identical for any value.
     """
-    if int(n_samples) != n_samples or n_samples < 0:
+    if not _is_int(n_samples) or n_samples < 0:
         raise ConfigurationError("n_samples must be a nonnegative integer")
-    if int(workers) != workers or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     d = stats.dim
     if n_samples == 0:

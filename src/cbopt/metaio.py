@@ -177,6 +177,11 @@ def _each_block(ranges, body, *scratch) -> None:
         raise errors[0]
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` or numpy integer, but not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     """``np.all(np.isfinite(arr))``, usually from one sum and no temporary.
 
@@ -203,7 +208,7 @@ def _pieces(n_rows: int, row_cells: int, render, workers: int):
     ``workers``.  A caller writing a file flushes it before drawing the first
     piece, so no child inherits unwritten output.
     """
-    if int(workers) != workers or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     bounds = _row_ranges(n_rows, row_cells, _PIECE_CELLS)
     procs = min(workers, len(bounds), usable_cpus())

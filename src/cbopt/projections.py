@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _all_finite, _blocks, _each_block, fmt_float, fmt_vector, parse_vector
+from .metaio import (
+    _all_finite, _blocks, _each_block, _is_int, fmt_float, fmt_vector, parse_vector
+)
 
 __all__ = [
     "DEFAULT_MEMBERSHIP_TOL",
@@ -90,7 +92,7 @@ class SimplexProjector(Projector):
     """
 
     def __init__(self, dim: int):
-        if int(dim) != dim or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise ConfigurationError("simplex dimension must be a positive integer")
         self.dim = int(dim)
 

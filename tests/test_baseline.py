@@ -161,3 +161,15 @@ def test_reference_metadata_is_flat_text():
         "reference_points",
     }
     assert all(isinstance(v, str) for v in meta.values())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.2, 0.125])
+def test_lattice_bytes_match_an_itertools_enumeration(d, step):
+    # product() yields tuples in lexicographic order; keep the compositions of k.
+    k = round(1 / step)
+    rows = [c for c in itertools.product(range(k + 1), repeat=d) if sum(c) == k]
+    expected = np.array(rows, dtype=np.int64).reshape(-1, d).astype(float) / k
+    got = simplex_lattice(d, step)
+    assert got.shape == expected.shape and got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
