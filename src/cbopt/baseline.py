@@ -86,20 +86,15 @@ def simplex_lattice(d: int, step: float) -> np.ndarray:
     return out
 
 
-def grid_search_simplex(
-    objective, d: int, step: float, workers: int = 1
-) -> ReferenceSolution:
+def grid_search_simplex(objective, d: int, step: float) -> ReferenceSolution:
     """Exhaustively minimize over the simplex lattice.
 
     Enforces d <= 4 (the lattice grows combinatorially).  Ties are broken
     toward the lexicographically smallest weight vector.  Points are
-    evaluated in fixed chunks on the calling thread; ``workers`` is
-    validated but does not change execution or the result.
+    evaluated in fixed chunks.
     """
     if not _is_int(d) or not (1 <= d <= MAX_GRID_DIM):
         raise ConfigurationError(f"grid search supports 1 <= d <= {MAX_GRID_DIM}")
-    if not _is_int(workers) or workers < 1:
-        raise ConfigurationError("workers must be a positive integer")
     points = simplex_lattice(d, step)
     chunks = range(0, len(points), _EVAL_CHUNK)
     values = np.concatenate([objective.eval_many(points[i : i + _EVAL_CHUNK]) for i in chunks])

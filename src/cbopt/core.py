@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _pieces, fmt_float, fmt_rows
+    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _part, _pieces, _row_sq,
+    fmt_float, fmt_rows,
 )
 
 __all__ = [
@@ -377,13 +378,6 @@ def _check_noise(ensemble: Ensemble, params: CboParams, noise: StepNoise) -> Non
         )
 
 
-def _part(operand: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
-    """The part of ``operand`` that row block ``[lo, hi)`` of an ``ndim``-rank
-    array uses: an operand of that rank is cut with it, and a lower-rank one
-    broadcasts whole."""
-    return operand[lo:hi] if operand.ndim == ndim else operand
-
-
 def predictor_step(
     ensemble: Ensemble, consensus: np.ndarray, params: CboParams, noise: StepNoise
 ) -> np.ndarray:
@@ -424,39 +418,11 @@ def predictor_step(
     return out
 
 
-def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None, dev=None) -> np.ndarray:
+def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None) -> np.ndarray:
     """``||w_i - cons||`` for each row of ``(N, d)`` positions, or
-    ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given.
-
-    ``blocks`` is ``metaio._blocks(pos.shape)``, made once per run.  The
-    norms are computed in its row blocks, on every usable CPU and without a
-    full-size temporary, with the bits of ``np.sqrt((t * t).sum(axis=1))``
-    for ``t = pos - cons`` (times ``eta``).
-
-    ``dev`` is a second full-size array, for ``blocks`` of one range only:
-    a call without ``eta`` leaves ``pos - cons`` in it, and a call with
-    ``eta`` for the same ``pos`` and ``cons`` reads it instead of
-    subtracting again.
-    """
-    sq = np.empty(pos.shape[0])
-    ranges, scratch = blocks
-    if dev is not None:
-        if eta is None:
-            np.multiply(np.subtract(pos, cons, out=dev), dev, out=scratch)
-        else:
-            np.multiply(dev, eta, out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-        scratch.sum(axis=1, out=sq)
-        return np.sqrt(sq, out=sq)
-
-    def body(lo, hi, buf):
-        t = np.subtract(pos[lo:hi], cons, out=buf[: hi - lo])
-        if eta is not None:
-            np.multiply(t, _part(eta, lo, hi, 2), out=t)
-        np.multiply(t, t, out=t)
-        t.sum(axis=1, out=sq[lo:hi])
-
-    _each_block(ranges, body, scratch)
+    ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given; ``blocks``
+    is ``metaio._blocks(pos.shape)``, made once per run (:func:`metaio._row_sq`)."""
+    sq = _row_sq(pos, cons, eta, blocks)
     return np.sqrt(sq, out=sq)
 
 
@@ -551,8 +517,6 @@ def run(
     )
     rng = np.random.default_rng(noise_ss)
     blocks = _blocks(ensemble.positions.shape)
-    # One block: the residual pass keeps pos - cons for the B_n pass.
-    dev = np.empty(ensemble.positions.shape) if len(blocks[0]) == 1 else None
 
     trace = RunTrace()
     a_sum = 0.0
@@ -562,7 +526,7 @@ def run(
     while True:
         cons = consensus_point(ensemble, params.beta)
         pos = ensemble.positions
-        dist = _dev_norms(pos, cons, blocks, dev=dev)
+        dist = _dev_norms(pos, cons, blocks)
         residual = float(dist.max())
         a_sum += float(dist.mean())
         i = int(np.argmin(ensemble.objective_values))
@@ -576,7 +540,7 @@ def run(
         if stop:
             break
         ensemble, noise = _advance(ensemble, cons, params, projector, objective, rng)
-        b_sum += float(_dev_norms(pos, cons, blocks, noise.values, dev).mean())
+        b_sum += float(_dev_norms(pos, cons, blocks, noise.values).mean())
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

@@ -39,8 +39,8 @@ from .core import (
     draw_step_noise,
     init_ensemble,
 )
-from .errors import ConfigurationError
-from .metaio import _is_int, _write_csv, fmt_float
+from .errors import ConfigurationError, NumericDomainError
+from .metaio import _block_ranges, _is_int, _row_sq, _write_csv, fmt_float
 
 __all__ = [
     "Verdict",
@@ -79,20 +79,31 @@ class ParamReport:
     verdict: Verdict
 
 
+def _square(name: str, x) -> float:
+    """``x**2``, or a ``NumericDomainError`` where it overflows a float.  Not
+    ``x * x``: that differs from ``pow`` in the last bit for some doubles."""
+    try:
+        return x**2
+    except OverflowError:
+        raise NumericDomainError(f"{name}**2 overflows a float ({name}={x!r})") from None
+
+
 def check_params(params: CboParams) -> ParamReport:
     """Classify parameters against the contraction conditions.
 
     ``m`` is evaluated as ``(2*lam - sigma**2) - lam**2*h``: grouping the
     cancellation-prone pair first keeps the boundary case ``2*lam ==
     sigma**2`` exact in floating point (the result is then exactly
-    ``-lam**2*h``).
+    ``-lam**2*h``).  A ``lam`` or ``sigma`` whose square overflows raises
+    ``NumericDomainError``.
     """
     two_lam = 2.0 * params.lam
-    sig_sq = params.sigma**2
-    m = (two_lam - sig_sq) - params.lam**2 * params.h
+    sig_sq = _square("sigma", params.sigma)
+    lam_sq = _square("lam", params.lam)
+    m = (two_lam - sig_sq) - lam_sq * params.h
     cond_sigma = params.sigma > 0
     cond_drift = two_lam > sig_sq
-    cond_h = bool(cond_drift and 0 < params.h < (two_lam - sig_sq) / params.lam**2)
+    cond_h = bool(cond_drift and 0 < params.h < (two_lam - sig_sq) / lam_sq)
     if cond_sigma and cond_drift and cond_h:
         verdict = Verdict.SATISFIED
     elif two_lam == sig_sq:
@@ -104,9 +115,10 @@ def check_params(params: CboParams) -> ParamReport:
 
 def pairwise_step_factor(params: CboParams) -> float:
     """Exact one-step factor for the pre-projection pairwise second moment
-    under shared per-step noise: ``1 - 2*lam*h + lam**2*h**2 + sigma**2*h``."""
+    under shared per-step noise: ``1 - 2*lam*h + lam**2*h**2 + sigma**2*h``.
+    A square that overflows raises ``NumericDomainError``."""
     lam, sig, h = params.lam, params.sigma, params.h
-    return 1.0 - 2.0 * lam * h + lam**2 * h**2 + sig**2 * h
+    return 1.0 - 2.0 * lam * h + _square("lam", lam) * _square("h", h) + _square("sigma", sig) * h
 
 
 def summary_text(report: ParamReport) -> str:
@@ -185,7 +197,6 @@ def decay_experiment(
     seed: int,
     init_mean=None,
     init_std: float = 1.0,
-    workers: int = 1,
 ) -> DecayReport:
     """Average pairwise and particle-to-consensus squared distances over
     ``runs`` independent seeded trajectories and compare them with the
@@ -195,15 +206,12 @@ def decay_experiment(
     advance together, one batched step per iteration, and are summed in
     run-index order.  Each run's noise is drawn for a block of steps at a
     time (about ``_NOISE_CELLS`` values over all runs), which gives the bits
-    of one draw per step.  ``workers`` is validated but changes nothing, so
-    the report is identical for any value.
+    of one draw per step.
     """
     if not _is_int(runs) or runs < 1:
         raise ConfigurationError("runs must be a positive integer")
     if not _is_int(horizon) or horizon < 0:
         raise ConfigurationError("horizon must be a nonnegative integer")
-    if not _is_int(workers) or workers < 1:
-        raise ConfigurationError("workers must be a positive integer")
     report = check_params(params)
     dim = projector.dim
     if init_mean is None:
@@ -219,14 +227,14 @@ def decay_experiment(
     step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else w0[0].size)
     block_steps = max(1, _NOISE_CELLS // step_cells)
     work = np.empty(w0.shape)
+    blocks = (_block_ranges(w0.shape), work)  # work is _row_sq's scratch too
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
     for n in range(horizon + 1):
         pos = ens.positions
         run_pair[:, n] = _pairwise_sq(pos, pos.mean(axis=-2, keepdims=True), work)
         cons = consensus_point(ens, params.beta)
-        np.subtract(pos, cons[:, None, :], out=work)
-        run_cons_sq[:, n] = np.multiply(work, work, out=work).sum(axis=-1).mean(axis=-1)
+        run_cons_sq[:, n] = _row_sq(pos, cons[:, None, :], blocks=blocks).mean(axis=-1)
         if n < horizon:
             if n % block_steps == 0:
                 steps = min(block_steps, horizon - n)

@@ -25,7 +25,7 @@ from .errors import (
     IngestionError,
 )
 from .metaio import _is_int, _pieces, fmt_float, fmt_rows, fmt_vector, parse_vector
-from .objectives import DEFAULT_VAR_FLOOR, MarketStats, row_variances
+from .objectives import DEFAULT_VAR_FLOOR, MarketStats, _check_names, _sharpe_rows
 
 __all__ = [
     "PriceSeries",
@@ -46,20 +46,6 @@ __all__ = [
 ]
 
 _FRONTIER_CHUNK = 8192
-
-
-def _check_names(names) -> tuple[str, ...]:
-    names = tuple(names)
-    if not names:
-        raise ConfigurationError("need at least one asset name")
-    seen = set()
-    for name in names:
-        if not name or any(ch.isspace() for ch in name) or "," in name:
-            raise ConfigurationError(f"invalid asset name {name!r}")
-        if name in seen:
-            raise ConfigurationError(f"duplicate asset name {name!r}")
-        seen.add(name)
-    return names
 
 
 @dataclass(frozen=True)
@@ -298,31 +284,19 @@ def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
-def _score_cloud(stats: MarketStats, weights: np.ndarray, var_floor: float):
-    ret = weights @ stats.mu
-    risk = np.sqrt(row_variances(weights, stats.sigma, var_floor))
-    sharpe = (ret - stats.rf) / risk
-    return ret, risk, sharpe
-
-
 def sample_frontier(
     stats: MarketStats,
     n_samples: int,
     seed: int,
-    workers: int = 1,
     var_floor: float = DEFAULT_VAR_FLOOR,
 ) -> FrontierCloud:
     """Score ``n_samples`` uniformly distributed simplex portfolios.
 
     Uniformity comes from normalized i.i.d. exponential spacings.  Sampling
-    is chunked with one spawned seed per chunk and merged in chunk order on
-    the calling thread; ``workers`` is validated but does not change
-    execution, so results are identical for any value.
+    is chunked with one spawned seed per chunk and merged in chunk order.
     """
     if not _is_int(n_samples) or n_samples < 0:
         raise ConfigurationError("n_samples must be a nonnegative integer")
-    if not _is_int(workers) or workers < 1:
-        raise ConfigurationError("workers must be a positive integer")
     d = stats.dim
     if n_samples == 0:
         empty = np.empty(0)
@@ -335,8 +309,7 @@ def sample_frontier(
         spacings = np.random.default_rng(child).standard_exponential((size, d))
         parts.append(spacings / spacings.sum(axis=1, keepdims=True))
     weights = np.vstack(parts)
-    ret, risk, sharpe = _score_cloud(stats, weights, var_floor)
-    return FrontierCloud(weights, ret, risk, sharpe)
+    return FrontierCloud(weights, *_sharpe_rows(stats, weights, var_floor))
 
 
 def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:

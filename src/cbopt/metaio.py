@@ -11,7 +11,10 @@ formats them on several forked processes.  The same row ranges
 cache-sized blocks (:func:`_blocks`), and :func:`_each_block` runs a
 kernel's blocks on short-lived threads, up to one per usable CPU, joined
 before it returns.  Every block keeps its operands and ufunc order, so the
-bits do not depend on the number of threads.
+bits do not depend on the number of threads.  :func:`_row_sq`, the squared
+distance of each row to a center, is the kernel the solver's residuals,
+the sphere objective, the ball's membership test and the decay experiment
+share.
 """
 
 from __future__ import annotations
@@ -175,6 +178,37 @@ def _each_block(ranges, body, *scratch) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+def _part(operand: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
+    """The part of ``operand`` that row block ``[lo, hi)`` of an ``ndim``-rank
+    array uses: an operand of that rank is cut with it, and a lower-rank one
+    broadcasts whole."""
+    return operand[lo:hi] if operand.ndim == ndim else operand
+
+
+def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None, blocks=None) -> np.ndarray:
+    """``(t * t).sum(axis=-1)`` for ``t = rows - center``, times ``eta`` if given.
+
+    ``rows`` is ``(m, d)`` or ``(R, N, d)``; ``center`` and ``eta`` either
+    have its rank (cut with its row blocks) or broadcast whole.  The package's
+    one squared row distance: the sums are computed in the row blocks of
+    ``blocks`` (``_blocks(rows.shape)`` unless given; its scratch may be any
+    array holding the largest block), on every usable CPU and without a
+    full-size temporary, with the bits of the whole-array expression.
+    """
+    out = np.empty(rows.shape[:-1])
+    ranges, scratch = _blocks(rows.shape) if blocks is None else blocks
+
+    def body(lo, hi, buf):
+        t = np.subtract(rows[lo:hi], _part(center, lo, hi, rows.ndim), out=buf[: hi - lo])
+        if eta is not None:
+            np.multiply(t, _part(eta, lo, hi, rows.ndim), out=t)
+        np.multiply(t, t, out=t)
+        t.sum(axis=-1, out=out[lo:hi])
+
+    _each_block(ranges, body, scratch)
+    return out
 
 
 def _is_int(value) -> bool:

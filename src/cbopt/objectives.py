@@ -1,21 +1,22 @@
 """Objective functions for the ensemble solver and portfolio scoring.
 
-An :class:`Objective` bundles a scalar evaluator with an optional analytic
-gradient (used only by the deterministic baselines) and an optional
-vectorized batch evaluator for bulk scoring.  The solver itself only ever
-needs point values, never derivatives.
+An :class:`Objective` bundles a batch evaluator, or for user objectives a
+scalar one, with an optional analytic gradient (used only by the
+deterministic baselines).  The built-ins define only the batch, and a
+single point is scored as a one-row batch, so each formula is written once
+(BLAS may still round a Sharpe row in a larger block differently).  The
+solver itself only ever needs point values, never derivatives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePortfolioError
-from .metaio import _blocks, _each_block, fmt_float, fmt_vector
+from .metaio import _blocks, _each_block, _row_sq, fmt_float, fmt_vector
 
 __all__ = [
     "Objective",
@@ -33,18 +34,26 @@ DEFAULT_VAR_FLOOR = 1e-12
 class Objective:
     """A scalar objective with optional gradient / batch evaluators.
 
-    ``fn`` maps a d-vector to a float.  ``batch``, when given, maps an
-    ``(m, d)`` array to an ``(m,)`` array and must agree with ``fn`` row by
-    row.  ``descriptor`` is a stable identifier echoed into run metadata.
+    ``fn`` maps a d-vector to a float.  ``batch`` maps an ``(m, d)`` array
+    to an ``(m,)`` array; when given, it scores single points too (as one
+    row) and ``fn`` may be ``None``.  ``descriptor`` is a stable identifier
+    echoed into run metadata.
     """
 
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], float] | None
     descriptor: str
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if self.fn is None and self.batch is None:
+            raise ConfigurationError("an objective needs fn or batch")
+
     def __call__(self, w) -> float:
-        return float(self.fn(np.asarray(w, dtype=float)))
+        w = np.asarray(w, dtype=float)
+        if self.batch is not None:
+            return float(self.batch(w[None])[0])
+        return float(self.fn(w))
 
     def eval_many(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -53,8 +62,20 @@ class Objective:
         return np.array([float(self.fn(r)) for r in rows], dtype=float)
 
 
-def _default_names(d: int) -> tuple[str, ...]:
-    return tuple(f"A{i + 1}" for i in range(d))
+def _check_names(names) -> tuple[str, ...]:
+    """``names`` as a tuple, once each is nonempty, unique and free of
+    whitespace and commas; the one asset-name rule of the package."""
+    names = tuple(names)
+    if not names:
+        raise ConfigurationError("need at least one asset name")
+    seen = set()
+    for name in names:
+        if not name or any(ch.isspace() for ch in name) or "," in name:
+            raise ConfigurationError(f"invalid asset name {name!r}")
+        if name in seen:
+            raise ConfigurationError(f"duplicate asset name {name!r}")
+        seen.add(name)
+    return names
 
 
 @dataclass(frozen=True)
@@ -87,12 +108,9 @@ class MarketStats:
             raise ConfigurationError("sigma must be symmetric to 1e-12")
         if float(np.linalg.eigvalsh(sigma).min()) < -1e-10:
             raise ConfigurationError("sigma must be positive semidefinite")
-        names = tuple(self.asset_names) if self.asset_names else _default_names(d)
+        names = _check_names(self.asset_names or [f"A{i + 1}" for i in range(d)])
         if len(names) != d:
             raise ConfigurationError(f"expected {d} asset names, got {len(names)}")
-        for name in names:
-            if not name or any(ch.isspace() for ch in name) or "," in name:
-                raise ConfigurationError(f"invalid asset name {name!r}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rf", float(self.rf))
@@ -112,26 +130,12 @@ def sphere(center) -> Objective:
     if c.ndim != 1 or not np.all(np.isfinite(c)):
         raise ConfigurationError("sphere center must be a finite vector")
 
-    def fn(w):
-        dev = w - c
-        return float(dev @ dev)
-
-    def batch(rows):
-        # (dev * dev).sum(axis=1) for dev = rows - c, in row blocks.
-        out = np.empty(len(rows))
-
-        def body(lo, hi, dev):
-            block = np.subtract(rows[lo:hi], c, out=dev[: hi - lo])
-            np.multiply(block, block, out=block).sum(axis=1, out=out[lo:hi])
-
-        ranges, dev = _blocks(rows.shape)
-        _each_block(ranges, body, dev)
-        return out
-
     def grad(w):
         return 2.0 * (np.asarray(w, dtype=float) - c)
 
-    return Objective(fn, f"sphere:{fmt_vector(c)}", grad=grad, batch=batch)
+    return Objective(
+        None, f"sphere:{fmt_vector(c)}", grad=grad, batch=lambda rows: _row_sq(rows, c)
+    )
 
 
 def rastrigin(shift, scale: float = 1.0) -> Objective:
@@ -143,10 +147,6 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
     scale = float(scale)
     if not (scale > 0) or not np.isfinite(scale):
         raise ConfigurationError("rastrigin scale must be finite and positive")
-
-    def fn(w):
-        z = (w - s) / scale
-        return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
 
     def batch(rows):
         # (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=1) for
@@ -174,28 +174,33 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
         return (2.0 * z + 20.0 * np.pi * np.sin(2.0 * np.pi * z)) / scale
 
     return Objective(
-        fn, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}", grad=grad, batch=batch
+        None, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}", grad=grad, batch=batch
     )
-
-
-def _check_variance(var, floor: float):
-    if float(np.min(var)) < floor:
-        raise DegeneratePortfolioError(
-            f"portfolio variance {float(np.min(var)):.6e} below floor {floor:.6e}"
-        )
 
 
 def row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarray:
     """``w' Sigma w`` for every row ``w`` of an ``(m, d)`` block, floor-checked.
 
     One BLAS product plus a row-wise dot; an empty block returns an empty
-    array without a check.  Shared by :func:`neg_sharpe` and
-    ``market._score_cloud``; left out of ``__all__``.
+    array without a check.  Left out of ``__all__``.
     """
     var = np.einsum("ij,ij->i", rows @ sigma, rows)
-    if var.size:
-        _check_variance(var, floor)
+    if var.size and float(var.min()) < floor:
+        raise DegeneratePortfolioError(
+            f"portfolio variance {float(var.min()):.6e} below floor {floor:.6e}"
+        )
     return var
+
+
+def _sharpe_rows(stats: MarketStats, rows: np.ndarray, var_floor: float):
+    """``(ret, risk, sharpe)`` arrays for the rows of an ``(m, d)`` block.
+
+    The one Sharpe scorer: :func:`neg_sharpe`, :func:`sharpe_components`
+    and ``market.sample_frontier`` all score through it.
+    """
+    ret = rows @ stats.mu
+    risk = np.sqrt(row_variances(rows, stats.sigma, var_floor))
+    return ret, risk, (ret - stats.rf) / risk
 
 
 def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Objective:
@@ -207,30 +212,17 @@ def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Obje
     """
     if not (float(var_floor) > 0):
         raise ConfigurationError("var_floor must be positive")
-    mu, sig, rf = stats.mu, stats.sigma, stats.rf
-
-    def fn(w):
-        var = float(w @ sig @ w)
-        _check_variance(var, var_floor)
-        return -(float(w @ mu) - rf) / math.sqrt(var)
-
-    def batch(rows):
-        var = row_variances(rows, sig, var_floor)
-        return -(rows @ mu - rf) / np.sqrt(var)
 
     def grad(w):
         w = np.asarray(w, dtype=float)
-        var = float(w @ sig @ w)
-        _check_variance(var, var_floor)
-        s = math.sqrt(var)
-        excess = float(w @ mu) - rf
-        return -mu / s + excess * (sig @ w) / s**3
+        (ret,), (s,), _ = _sharpe_rows(stats, w[None], var_floor)
+        return -stats.mu / s + (ret - stats.rf) * (stats.sigma @ w) / s**3
 
     return Objective(
-        fn,
-        f"neg_sharpe:d={stats.dim};rf={fmt_float(rf)}",
+        None,
+        f"neg_sharpe:d={stats.dim};rf={fmt_float(stats.rf)}",
         grad=grad,
-        batch=batch,
+        batch=lambda rows: -_sharpe_rows(stats, rows, var_floor)[2],
     )
 
 
@@ -244,8 +236,4 @@ def sharpe_components(
     w = np.asarray(w, dtype=float)
     if w.shape != (stats.dim,):
         raise ConfigurationError(f"expected a {stats.dim}-vector, got shape {w.shape}")
-    var = float(w @ stats.sigma @ w)
-    _check_variance(var, var_floor)
-    ret = float(w @ stats.mu)
-    risk = math.sqrt(var)
-    return ret, risk, (ret - stats.rf) / risk
+    return tuple(float(v[0]) for v in _sharpe_rows(stats, w[None], var_floor))

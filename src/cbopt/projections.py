@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _blocks, _each_block, _is_int, fmt_float, fmt_vector, parse_vector
+    _all_finite, _blocks, _each_block, _is_int, _row_sq, fmt_float, fmt_vector, parse_vector
 )
 
 __all__ = [
@@ -181,9 +181,7 @@ class BallProjector(Projector):
         return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
-        vs = _as_rows(vs, self.dim)
-        dev = vs - self.center
-        return np.sqrt((dev * dev).sum(axis=1)) <= self.radius + tol
+        return np.sqrt(_row_sq(_as_rows(vs, self.dim), self.center)) <= self.radius + tol
 
     def describe(self) -> str:
         return f"ball:{fmt_vector(self.center)},{fmt_float(self.radius)}"

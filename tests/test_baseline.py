@@ -80,14 +80,6 @@ def test_grid_search_dimension_guard():
         grid_search_simplex(sphere(np.zeros(5)), 5, step=0.5)
 
 
-def test_grid_search_worker_count_does_not_change_the_result(market3):
-    obj = neg_sharpe(market3)
-    a = grid_search_simplex(obj, 3, step=0.01, workers=1)
-    b = grid_search_simplex(obj, 3, step=0.01, workers=4)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.value == b.value
-
-
 def test_finite_diff_matches_analytic_gradients(market3):
     w = np.array([0.5, 0.25, 0.25])
     obj = sphere(np.array([0.1, 0.1, 0.8]))

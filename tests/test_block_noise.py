@@ -1,15 +1,11 @@
-"""Noise drawn for a block of steps at once, against one draw per step,
-and ``run``'s kept deviation against the whole-array norms."""
+"""Noise drawn for a block of steps at once, against one draw per step."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from test_batched import _per_run_reference, _projector
-from test_blocked_kernels import assert_same_bits, norms_reference, values
 
 from cbopt import CboParams, NoiseMode, decay_experiment, draw_step_noise, rastrigin, sphere
-from cbopt import core, diagnostics, metaio
+from cbopt import diagnostics
 from cbopt.errors import ConfigurationError
 
 
@@ -113,24 +109,3 @@ def test_the_default_block_size_gives_the_per_run_loop():
         pair, cons_sq, _ = _per_run_reference(objective, projector, params, runs, horizon, seed)
         assert np.array_equal(report.mean_pairwise_sq, pair)
         assert np.array_equal(report.mean_consensus_sq, cons_sq)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 40), st.sampled_from(list(NoiseMode)),
-       st.integers(0, 2**32 - 1))
-def test_a_kept_deviation_gives_the_whole_array_norms(n, d, mode, seed):
-    pos = values((seed, 0), (n, d))
-    cons = values((seed, 1), (d,))
-    eta = values((seed, 2), (d,) if mode is NoiseMode.COMMON else (n, d))
-    copies = [a.copy() for a in (pos, cons, eta)]
-    blocks = metaio._blocks(pos.shape)
-    assert len(blocks[0]) == 1
-    dev = np.empty(pos.shape)
-    dist = core._dev_norms(pos, cons, blocks, dev=dev)
-    assert_same_bits(dev, pos - cons)
-    term = core._dev_norms(pos, cons, blocks, eta, dev)
-    want_dist, want_term = norms_reference(pos, cons, eta)
-    assert_same_bits(dist, want_dist)
-    assert_same_bits(term, want_term)
-    for before, after in zip(copies, (pos, cons, eta)):
-        assert_same_bits(after, before)

@@ -400,3 +400,22 @@ def test_betas_that_parse_but_are_invalid_fail_before_any_artifact(tmp_path, cap
     assert err.startswith("error:") and "betas" in err
     assert "Traceback" not in err
     assert not (out / "decay.csv").exists()
+
+
+def test_duplicate_asset_names_in_stats_are_an_error_line(tmp_path, capsys):
+    stats = tmp_path / "in" / "stats.txt"
+    make_inputs(stats.parent)
+    stats.write_text(stats.read_text().replace("names=A1 A2 A3", "names=A A A"))
+    assert main(["solve", "--stats", str(stats), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: duplicate asset name 'A'\n"
+
+
+@pytest.mark.parametrize("argv", [["solve", "--lambda", "1e308"], ["solve", "--sigma", "1e200"],
+                                  ["diagnose", "--lambda", "1e200"]])
+def test_parameters_whose_square_overflows_are_an_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv += ["--objective", "sphere", "--dim", "2", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
+    assert not any(out.iterdir())

@@ -234,13 +234,6 @@ def test_frontier_single_asset_degenerates_to_one_point():
     np.testing.assert_array_equal(cloud.weights, np.ones((100, 1)))
 
 
-def test_frontier_worker_count_does_not_change_the_bytes(market3):
-    a = sample_frontier(market3, 20_000, seed=7, workers=1)
-    b = sample_frontier(market3, 20_000, seed=7, workers=4)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.sharpe, b.sharpe)
-
-
 def test_frontier_zero_samples_and_validation(market3, tmp_path):
     cloud = sample_frontier(market3, 0, seed=0)
     assert len(cloud) == 0
@@ -249,8 +242,6 @@ def test_frontier_zero_samples_and_validation(market3, tmp_path):
     assert path.read_text() == "risk,ret,sharpe,w1,w2,w3\n"
     with pytest.raises(ConfigurationError):
         sample_frontier(market3, -1, seed=0)
-    with pytest.raises(ConfigurationError):
-        sample_frontier(market3, 10, seed=0, workers=0)
 
 
 def test_frontier_cloud_never_beats_a_dense_grid(market3):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_blocked_kernels import assert_same_bits
 
 from cbopt import (
     MarketStats,
@@ -16,6 +17,7 @@ from cbopt import (
 )
 from cbopt.errors import ConfigurationError, DegeneratePortfolioError
 from cbopt.market import sample_frontier
+from cbopt.objectives import _sharpe_rows
 
 
 def two_asset_stats():
@@ -185,3 +187,32 @@ def test_descriptors_name_the_objective(market3):
     assert neg_sharpe(market3).descriptor.startswith("neg_sharpe:")
     assert "sphere:" in sphere(np.zeros(2)).descriptor
     assert "rastrigin:" in rastrigin(np.zeros(2)).descriptor
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_a_point_scores_as_a_one_row_batch(d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(d))
+    f = rng.normal(size=(d, d)) * 0.01
+    stats = MarketStats(rng.normal(1e-3, 1e-3, d), f @ f.T + 1e-4 * np.eye(d), rf=1e-4)
+    for obj in (sphere(rng.normal(size=d)), rastrigin(rng.normal(size=d), 0.7),
+                neg_sharpe(stats)):
+        assert obj.fn is None
+        assert_same_bits(obj(w), obj.eval_many(w[None])[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_sharpe_components_is_row_zero_of_the_sharpe_scorer(d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(d))
+    f = rng.normal(size=(d, d)) * 0.01
+    stats = MarketStats(rng.normal(1e-3, 1e-3, d), f @ f.T + 1e-4 * np.eye(d), rf=1e-4)
+    rows = _sharpe_rows(stats, w[None], 1e-12)
+    assert_same_bits(sharpe_components(stats, w), [r[0] for r in rows])
+
+
+def test_duplicate_asset_names_are_rejected():
+    with pytest.raises(ConfigurationError, match="duplicate asset name 'A'"):
+        MarketStats(np.array([0.1, 0.2, 0.3]), 0.01 * np.eye(3), asset_names=("A", "A", "A"))

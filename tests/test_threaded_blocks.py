@@ -204,6 +204,30 @@ def test_run_norms(cells, cpus, started, mode):
         assert_same_bits(after, before)
 
 
+@pytest.mark.parametrize("block", [7, 64, None])  # None: the default _BLOCK_CELLS
+@pytest.mark.parametrize("tail", [(11,), (3, 5)])  # (m, d) rows, or (R, N, d) runs
+@pytest.mark.parametrize("eta_shape", ["none", "row", "full"])
+def test_row_sq(monkeypatch, cpus, started, block, tail, eta_shape):
+    if block is not None:
+        monkeypatch.setattr(metaio, "_BLOCK_CELLS", block)
+    cells, d = metaio._BLOCK_CELLS, tail[-1]
+    shape = (5 * max(1, cells // math.prod(tail)), *tail)  # five row blocks
+    rows = values((cells, 0), shape)
+    center = values((cells, 1), (d,) if len(shape) == 2 else (shape[0], 1, d))
+    eta = {"none": None, "row": values((cells, 2), (d,)), "full": values((cells, 2), shape)}
+    eta = eta[eta_shape]
+    operands = [a for a in (rows, center, eta) if a is not None]
+    copies = [a.copy() for a in operands]
+    serial, threaded = serial_and_threaded(
+        cpus, started, lambda: metaio._row_sq(rows, center, eta))
+    t = rows - center if eta is None else (rows - center) * eta
+    want = (t * t).sum(axis=-1)
+    assert_same_bits(serial, want)
+    assert_same_bits(threaded, want)
+    for before, after in zip(copies, operands):
+        assert_same_bits(after, before)
+
+
 def test_pairwise_squares(cells, cpus, started):
     pos = values((cells, 0), (23, 11))
     com = pos.mean(axis=0)
