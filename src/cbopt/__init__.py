@@ -10,9 +10,7 @@ diagnostics, and a small CLI pipeline.
 
 from .baseline import (
     ReferenceSolution,
-    finite_diff_gradient,
     grid_search_simplex,
-    projected_gradient,
     simplex_lattice,
 )
 from .core import (
@@ -21,7 +19,6 @@ from .core import (
     NoiseMode,
     RunResult,
     RunTrace,
-    StepNoise,
     TraceRecord,
     cbo_step,
     consensus_point,

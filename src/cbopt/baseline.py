@@ -1,9 +1,8 @@
 """Deterministic reference optimizers used to judge solver output.
 
-Two baselines: exhaustive search over a regular simplex lattice (exact up
-to the lattice resolution, only practical for d <= 4) and plain projected
-gradient descent.  Both return a :class:`ReferenceSolution` so callers can
-treat them interchangeably.
+One baseline: exhaustive search over a regular simplex lattice, exact up
+to the lattice resolution and only practical for d <= 4.  It returns a
+:class:`ReferenceSolution`, which the CLI echoes into run metadata.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ __all__ = [
     "ReferenceSolution",
     "simplex_lattice",
     "grid_search_simplex",
-    "finite_diff_gradient",
-    "projected_gradient",
 ]
 
 _EVAL_CHUNK = 65536
@@ -70,7 +67,13 @@ def simplex_lattice(d: int, step: float) -> np.ndarray:
     # rows stay lexicographic; the last column is what remains of k.  A
     # prefix with sum s and r columns still to fill heads C(k-s+r-1, r-1)
     # rows, so each column is its values repeated that many times.
-    out = np.empty((math.comb(k + d - 1, d - 1), d))
+    n_points = math.comb(k + d - 1, d - 1)
+    try:
+        out = np.empty((n_points, d))
+    except (ValueError, MemoryError):  # more rows than an index holds, or than memory
+        raise ConfigurationError(
+            f"a step-{step!r} lattice at d={d} has {n_points} points, too many to allocate"
+        ) from None
     sums = np.zeros(1, dtype=np.int64)
     for col in range(d - 1):
         counts = k - sums + 1
@@ -107,47 +110,3 @@ def grid_search_simplex(objective, d: int, step: float) -> ReferenceSolution:
         meta={"step": float(step), "points": len(points)},
     )
 
-
-def finite_diff_gradient(objective, w, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate."""
-    if not (float(eps) > 0) or not math.isfinite(eps):
-        raise ConfigurationError("eps must be finite and positive")
-    w = np.asarray(w, dtype=float)
-    grad = np.empty_like(w)
-    for i in range(w.shape[0]):
-        bump = np.zeros_like(w)
-        bump[i] = eps
-        grad[i] = (objective(w + bump) - objective(w - bump)) / (2.0 * eps)
-    return grad
-
-
-def projected_gradient(
-    objective, projector, w0, step_size: float, iters: int
-) -> ReferenceSolution:
-    """Fixed-step projected gradient descent, reporting the best iterate.
-
-    Uses the objective's analytic gradient if present, otherwise central
-    differences.  ``iters = 0`` returns the starting point unchanged.
-    """
-    if not (float(step_size) > 0) or not math.isfinite(step_size):
-        raise ConfigurationError("step_size must be finite and positive")
-    if not _is_int(iters) or iters < 0:
-        raise ConfigurationError("iters must be a nonnegative integer")
-    w = np.asarray(w0, dtype=float).copy()
-    if not projector.contains(w, tol=1e-8):
-        raise ConfigurationError("w0 must be feasible")
-    grad_fn = objective.grad or (lambda x: finite_diff_gradient(objective, x))
-    best_w = w.copy()
-    best_v = objective(w)
-    for _ in range(int(iters)):
-        w = projector.project(w - step_size * np.asarray(grad_fn(w), dtype=float))
-        value = objective(w)
-        if value < best_v:
-            best_v = value
-            best_w = w.copy()
-    return ReferenceSolution(
-        best_w,
-        float(best_v),
-        "projected_gradient",
-        meta={"iters": int(iters), "step_size": float(step_size)},
-    )

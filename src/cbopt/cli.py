@@ -47,7 +47,7 @@ _OPTIONS = [
     ("max_iters", int, 10_000, _RUN, "iteration cap"),
     ("tol", float, 1e-8, _RUN, "residual stopping tolerance"),
     ("noise", ("common", "independent"), "common", _RUN, "one noise draw per step or per particle"),
-    ("seed", int, 0, ("synth", "ingest", *_RUN), "random seed"),
+    ("seed", int, 0, ("synth", *_RUN), "random seed"),
     ("init_std", float, 1.0, _RUN, "spread of the initial ensemble"),
     ("objective", ("sharpe", "sphere", "rastrigin"), "sharpe", _PROBLEM, "function to minimize"),
     ("stats", str, None, _RUN, "stats file from the ingest command"),
@@ -247,9 +247,9 @@ def cmd_solve(args) -> int:
     (solve_seed,) = _derived_seeds(cfg["seed"], 1)
     params = _cbo_params(cfg, solve_seed)
     report = diagnostics.check_params(params)
+    reference = _maybe_reference(cfg, objective, projector)  # a bad grid fails before the run
 
     result = run(objective, projector, params, init_std=cfg["init_std"], thin=cfg["thin"])
-    reference = _maybe_reference(cfg, objective, projector)
     if reference is not None:
         errors = diagnostics.error_trace(result.trace, reference)
         diagnostics.write_error_csv(result.trace.iterations(), errors, out / "error_trace.csv")
@@ -343,6 +343,7 @@ def cmd_diagnose(args) -> int:
     decay_seed, laplace_seed, solve_seed = _derived_seeds(cfg["seed"], 3)
     params = _cbo_params(cfg, solve_seed)
     report = diagnostics.check_params(params)
+    reference = _maybe_reference(cfg, objective, projector)  # a bad grid fails before any artifact
 
     decay = diagnostics.decay_experiment(
         objective,
@@ -367,7 +368,6 @@ def cmd_diagnose(args) -> int:
     points = diagnostics.laplace_sweep(ensemble, betas)
     diagnostics.write_laplace_csv(points, out / "laplace.csv")
 
-    reference = _maybe_reference(cfg, objective, projector)
     if reference is not None:
         result = run(objective, projector, params, init_std=cfg["init_std"])
         errors = diagnostics.error_trace(result.trace, reference)
@@ -395,21 +395,16 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _frontier_svg(cloud, intercept, slope, tangency) -> str:
-    """Minimal self-contained scatter of the sampled cloud plus the CML.
-
-    Pure text, no drawing dependency; coordinates are emitted with
-    deterministic formatting.
-    """
-    return "".join(_svg_pieces(cloud, intercept, slope, tangency))
-
-
 _SVG_CHUNK = 8192
 
 
 def _svg_pieces(cloud, intercept, slope, tangency):
-    """The text of :func:`_frontier_svg` in pieces of at most ``_SVG_CHUNK``
-    circles, so a large cloud is never held as one string."""
+    """Minimal self-contained scatter of the sampled cloud plus the CML.
+
+    Pure text, no drawing dependency; coordinates are emitted with
+    deterministic formatting.  The text comes in pieces of at most
+    ``_SVG_CHUNK`` circles, so a large cloud is never held as one string.
+    """
     width, height, pad = 640.0, 440.0, 50.0
     t_risk, t_ret = float(tangency[0]), float(tangency[1])
     risks = np.concatenate([cloud.risk, [t_risk, 0.0]])

@@ -38,7 +38,6 @@ from .metaio import (
 __all__ = [
     "NoiseMode",
     "CboParams",
-    "StepNoise",
     "Ensemble",
     "TraceRecord",
     "RunTrace",
@@ -110,19 +109,6 @@ class CboParams:
         # NaN fails this comparison too; +inf is allowed (stop immediately).
         if not (float(self.residual_tol) >= 0):
             raise ConfigurationError("residual_tol must be >= 0")
-
-
-@dataclass(frozen=True)
-class StepNoise:
-    """Noise drawn for one predictor step.
-
-    ``values`` has shape ``(d,)`` in COMMON mode (broadcast over particles)
-    and ``(N, d)`` in INDEPENDENT mode; a batched step over R runs adds a
-    leading run axis.
-    """
-
-    mode: NoiseMode
-    values: np.ndarray
 
 
 @dataclass
@@ -339,11 +325,13 @@ def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
     return np.matmul(w[..., None, :], ensemble.positions)[..., 0, :] / w.sum(-1)[..., None]
 
 
-def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> StepNoise:
+def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> np.ndarray:
     """Draw one step's standard-normal noise in the configured mode.
 
-    ``rng`` is one ``Generator``, or a sequence of them with one per run;
-    the values then gain a leading run axis, row r drawn from ``rng[r]``.
+    The array has shape ``(d,)`` in COMMON mode (broadcast over particles)
+    and ``(N, d)`` in INDEPENDENT mode.  ``rng`` is one ``Generator``, or a
+    sequence of them with one per run; the values then gain a leading run
+    axis, row r drawn from ``rng[r]``.
 
     ``steps=K`` draws K steps at once: the values gain a step axis, after
     the run axis if there is one.  A ``Generator`` fills an array one value
@@ -362,30 +350,30 @@ def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> StepNoise:
         values = np.empty((len(gens), *shape))
         for r, g in enumerate(gens):
             g.standard_normal(out=values[r])
-    return StepNoise(params.noise_mode, values)
+    return values
 
 
-def _check_noise(ensemble: Ensemble, params: CboParams, noise: StepNoise) -> None:
-    if noise.mode is not params.noise_mode:
-        raise ConfigurationError(
-            f"noise mode {noise.mode.value} does not match params ({params.noise_mode.value})"
-        )
+def _check_noise(ensemble: Ensemble, params: CboParams, eta: np.ndarray) -> None:
+    """Reject noise whose shape is not the one ``params.noise_mode`` draws:
+    noise of the other mode has another shape."""
     shape = ensemble.positions.shape
-    expected = shape[:-2] + (shape[-1],) if noise.mode is NoiseMode.COMMON else shape
-    if np.asarray(noise.values).shape != expected:
+    expected = shape[:-2] + (shape[-1],) if params.noise_mode is NoiseMode.COMMON else shape
+    if eta.shape != expected:
         raise ConfigurationError(
-            f"noise shape {np.asarray(noise.values).shape} does not match {expected}"
+            f"noise shape {eta.shape} does not match {expected} "
+            f"({params.noise_mode.value} noise)"
         )
 
 
 def predictor_step(
-    ensemble: Ensemble, consensus: np.ndarray, params: CboParams, noise: StepNoise
+    ensemble: Ensemble, consensus: np.ndarray, params: CboParams, eta: np.ndarray
 ) -> np.ndarray:
     """Propose raw (unconstrained) positions for the next iterate.
 
     ``w_i - lam*h*(w_i - consensus) + sigma*sqrt(h)*(w_i - consensus)*eta``
-    evaluated rowwise; the input ensemble is not mutated.  A batched
-    ensemble takes one consensus row per run.
+    evaluated rowwise, with ``eta`` as :func:`draw_step_noise` returns it;
+    the input ensemble is not mutated.  A batched ensemble takes one
+    consensus row per run.
 
     The expression is evaluated in row blocks (whole runs when batched),
     on every usable CPU, by in-place ufuncs with the same operands in the
@@ -395,11 +383,11 @@ def predictor_step(
     pos = ensemble.positions
     if consensus.shape != pos.shape[:-2] + (ensemble.dim,):
         raise ConfigurationError("consensus point has the wrong dimension")
-    _check_noise(ensemble, params, noise)
-    eta = np.asarray(noise.values)
+    eta = np.asarray(eta)
+    _check_noise(ensemble, params, eta)
     if pos.ndim == 3:  # one consensus row, and in COMMON mode one noise row, per run
         consensus = consensus[:, None, :]
-        eta = eta if noise.mode is NoiseMode.INDEPENDENT else eta[:, None, :]
+        eta = eta if params.noise_mode is NoiseMode.INDEPENDENT else eta[:, None, :]
     drift = params.lam * params.h
     spread = params.sigma * math.sqrt(params.h)
     out = np.empty(pos.shape)
@@ -445,17 +433,17 @@ def _advance(
     projector,
     objective,
     rng,
-    noise: StepNoise | None = None,
-) -> tuple[Ensemble, StepNoise]:
+    eta: np.ndarray | None = None,
+) -> tuple[Ensemble, np.ndarray]:
     """predictor -> corrector -> cache refresh; returns the noise used.
 
     For R stacked runs ``rng`` holds one Generator per run, and projection
     and evaluation see all rows as one ``(R*N, d)`` block.  A caller that
-    drew this step's ``noise`` already passes it, and ``rng`` is not used.
+    drew this step's noise ``eta`` already passes it, and ``rng`` is not used.
     """
-    if noise is None:
-        noise = draw_step_noise(params, ensemble.dim, rng)
-    raw = predictor_step(ensemble, consensus, params, noise)
+    if eta is None:
+        eta = draw_step_noise(params, ensemble.dim, rng)
+    raw = predictor_step(ensemble, consensus, params, eta)
     positions = projector.project_rows(raw.reshape(-1, ensemble.dim))
     values = objective.eval_many(positions)
     if not _all_finite(values):
@@ -465,7 +453,7 @@ def _advance(
     advanced = Ensemble(
         positions.reshape(raw.shape), values.reshape(raw.shape[:-1]), ensemble.iteration + 1
     )
-    return advanced, noise
+    return advanced, eta
 
 
 def cbo_step(
@@ -539,8 +527,8 @@ def run(
             trace.records.append(_record(ensemble, cons, residual, current, a_sum, b_sum))
         if stop:
             break
-        ensemble, noise = _advance(ensemble, cons, params, projector, objective, rng)
-        b_sum += float(_dev_norms(pos, cons, blocks, noise.values).mean())
+        ensemble, eta = _advance(ensemble, cons, params, projector, objective, rng)
+        b_sum += float(_dev_norms(pos, cons, blocks, eta).mean())
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

@@ -32,7 +32,6 @@ from .core import (
     Ensemble,
     NoiseMode,
     RunTrace,
-    StepNoise,
     _advance,
     _pairwise_sq,
     consensus_point,
@@ -103,7 +102,9 @@ def check_params(params: CboParams) -> ParamReport:
     m = (two_lam - sig_sq) - lam_sq * params.h
     cond_sigma = params.sigma > 0
     cond_drift = two_lam > sig_sq
-    cond_h = bool(cond_drift and 0 < params.h < (two_lam - sig_sq) / lam_sq)
+    # lam**2 underflows to 0 below lam ~ 1.5e-154; the step bound is then +inf.
+    h_max = (two_lam - sig_sq) / lam_sq if lam_sq > 0 else math.inf
+    cond_h = bool(cond_drift and 0 < params.h < h_max)
     if cond_sigma and cond_drift and cond_h:
         verdict = Verdict.SATISFIED
     elif two_lam == sig_sq:
@@ -238,9 +239,9 @@ def decay_experiment(
         if n < horizon:
             if n % block_steps == 0:
                 steps = min(block_steps, horizon - n)
-                block = draw_step_noise(params, dim, rngs, steps=steps).values
-            noise = StepNoise(params.noise_mode, block[:, n % block_steps])
-            ens, _ = _advance(ens, cons, params, projector, objective, rngs, noise)
+                block = draw_step_noise(params, dim, rngs, steps=steps)
+            eta = block[:, n % block_steps]
+            ens, _ = _advance(ens, cons, params, projector, objective, rngs, eta)
 
     # np.add.accumulate adds the runs one at a time in run-index order, so
     # the totals do not depend on how the runs were batched.

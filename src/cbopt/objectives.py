@@ -1,11 +1,10 @@
 """Objective functions for the ensemble solver and portfolio scoring.
 
 An :class:`Objective` bundles a batch evaluator, or for user objectives a
-scalar one, with an optional analytic gradient (used only by the
-deterministic baselines).  The built-ins define only the batch, and a
-single point is scored as a one-row batch, so each formula is written once
-(BLAS may still round a Sharpe row in a larger block differently).  The
-solver itself only ever needs point values, never derivatives.
+scalar one.  The built-ins define only the batch, and a single point is
+scored as a one-row batch, so each formula is written once (BLAS may still
+round a Sharpe row in a larger block differently).  The solver only ever
+needs point values, never derivatives.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ DEFAULT_VAR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Objective:
-    """A scalar objective with optional gradient / batch evaluators.
+    """A scalar objective with an optional batch evaluator.
 
     ``fn`` maps a d-vector to a float.  ``batch`` maps an ``(m, d)`` array
     to an ``(m,)`` array; when given, it scores single points too (as one
@@ -42,7 +41,6 @@ class Objective:
 
     fn: Callable[[np.ndarray], float] | None
     descriptor: str
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -129,13 +127,7 @@ def sphere(center) -> Objective:
     c = np.asarray(center, dtype=float)
     if c.ndim != 1 or not np.all(np.isfinite(c)):
         raise ConfigurationError("sphere center must be a finite vector")
-
-    def grad(w):
-        return 2.0 * (np.asarray(w, dtype=float) - c)
-
-    return Objective(
-        None, f"sphere:{fmt_vector(c)}", grad=grad, batch=lambda rows: _row_sq(rows, c)
-    )
+    return Objective(None, f"sphere:{fmt_vector(c)}", batch=lambda rows: _row_sq(rows, c))
 
 
 def rastrigin(shift, scale: float = 1.0) -> Objective:
@@ -169,13 +161,7 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
         _each_block(ranges, body, z_all, np.empty_like(z_all))
         return out
 
-    def grad(w):
-        z = (np.asarray(w, dtype=float) - s) / scale
-        return (2.0 * z + 20.0 * np.pi * np.sin(2.0 * np.pi * z)) / scale
-
-    return Objective(
-        None, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}", grad=grad, batch=batch
-    )
+    return Objective(None, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}", batch=batch)
 
 
 def row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarray:
@@ -212,16 +198,9 @@ def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Obje
     """
     if not (float(var_floor) > 0):
         raise ConfigurationError("var_floor must be positive")
-
-    def grad(w):
-        w = np.asarray(w, dtype=float)
-        (ret,), (s,), _ = _sharpe_rows(stats, w[None], var_floor)
-        return -stats.mu / s + (ret - stats.rf) * (stats.sigma @ w) / s**3
-
     return Objective(
         None,
         f"neg_sharpe:d={stats.dim};rf={fmt_float(stats.rf)}",
-        grad=grad,
         batch=lambda rows: -_sharpe_rows(stats, rows, var_floor)[2],
     )
 

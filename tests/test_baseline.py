@@ -5,11 +5,8 @@ import pytest
 
 from cbopt import (
     Objective,
-    finite_diff_gradient,
     grid_search_simplex,
     neg_sharpe,
-    projected_gradient,
-    simplex,
     simplex_lattice,
     sphere,
 )
@@ -80,65 +77,16 @@ def test_grid_search_dimension_guard():
         grid_search_simplex(sphere(np.zeros(5)), 5, step=0.5)
 
 
-def test_finite_diff_matches_analytic_gradients(market3):
-    w = np.array([0.5, 0.25, 0.25])
-    obj = sphere(np.array([0.1, 0.1, 0.8]))
-    np.testing.assert_allclose(
-        finite_diff_gradient(obj, w, 1e-6), obj.grad(w), atol=1e-6
-    )
-    np.testing.assert_allclose(
-        finite_diff_gradient(Objective(lambda x: 3.0, "const"), w), np.zeros(3), atol=0
-    )
-    sharpe_obj = neg_sharpe(market3)
-    np.testing.assert_allclose(
-        finite_diff_gradient(sharpe_obj, w, 1e-6), sharpe_obj.grad(w), atol=1e-6
-    )
-    with pytest.raises(ConfigurationError):
-        finite_diff_gradient(obj, w, eps=0.0)
-
-
-def test_projected_gradient_zero_iters_returns_the_start():
-    w0 = np.full(3, 1 / 3)
-    ref = projected_gradient(sphere(np.zeros(3)), simplex(3), w0, 0.1, 0)
-    np.testing.assert_array_equal(ref.weights, w0)
-    assert ref.meta["iters"] == 0
-
-
-def test_projected_gradient_solves_an_interior_sphere():
-    target = np.array([0.5, 0.3, 0.2])
-    ref = projected_gradient(sphere(target), simplex(3), np.full(3, 1 / 3), 0.1, 500)
-    np.testing.assert_allclose(ref.weights, target, atol=1e-6)
-    assert ref.value < 1e-12
-
-
-def test_projected_gradient_rejects_infeasible_start():
-    with pytest.raises(ConfigurationError, match="feasible"):
-        projected_gradient(sphere(np.zeros(2)), simplex(2), np.array([0.9, 0.9]), 0.1, 5)
-
-
-def test_projected_gradient_reports_the_best_iterate_seen():
-    # huge step: the path overshoots and oscillates, but the report never
-    # gets worse than the starting point
-    obj = sphere(np.array([0.5, 0.5]))
-    start = np.array([1.0, 0.0])
-    ref = projected_gradient(obj, simplex(2), start, 5.0, 40)
-    assert ref.value <= obj(start)
-
-
-def test_projected_gradient_falls_back_to_finite_differences():
-    target = np.array([0.6, 0.4])
-    gradless = Objective(lambda w: float(((w - target) ** 2).sum()), "gradless")
-    assert gradless.grad is None
-    ref = projected_gradient(gradless, simplex(2), np.array([0.5, 0.5]), 0.2, 300)
-    np.testing.assert_allclose(ref.weights, target, atol=1e-5)
-
-
-def test_projected_gradient_agrees_with_the_grid_on_the_market(market3):
+def test_grid_agrees_with_the_closed_form_tangency_on_the_market(market3):
+    # market3's tangency portfolio lies strictly inside the simplex, so the
+    # normalized Sigma^-1 (mu - rf) is the exact simplex optimum.
     obj = neg_sharpe(market3)
+    excess = np.linalg.solve(market3.sigma, market3.mu - market3.rf)
+    w_star = excess / excess.sum()
+    assert np.all(w_star > 0)
     grid = grid_search_simplex(obj, 3, step=0.001)
-    pg = projected_gradient(obj, simplex(3), np.full(3, 1 / 3), 1e-3, 2000)
-    assert np.max(np.abs(pg.weights - grid.weights)) <= 1e-2
-    assert pg.value <= grid.value + 1e-8
+    assert np.max(np.abs(grid.weights - w_star)) <= 0.001
+    assert obj(w_star) <= grid.value
 
 
 def test_reference_metadata_is_flat_text():

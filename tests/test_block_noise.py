@@ -19,27 +19,27 @@ def test_a_block_of_steps_holds_the_successive_single_step_draws(mode, steps):
     params, d = _params(mode), 5
     block = draw_step_noise(params, d, np.random.default_rng(3), steps=steps)
     rng = np.random.default_rng(3)
-    expected = np.stack([draw_step_noise(params, d, rng).values for _ in range(steps)])
-    assert block.mode is mode
-    assert np.array_equal(block.values, expected)
+    expected = np.stack([draw_step_noise(params, d, rng) for _ in range(steps)])
+    assert block.shape == ((steps, d) if mode is NoiseMode.COMMON else (steps, 3, d))
+    assert np.array_equal(block, expected)
 
     runs = 4
     block = draw_step_noise(params, d, [np.random.default_rng(s) for s in range(runs)],
                             steps=steps)
     gens = [np.random.default_rng(s) for s in range(runs)]
-    expected = np.stack([draw_step_noise(params, d, gens).values for _ in range(steps)], axis=1)
-    assert block.values.shape == (runs, steps) + expected.shape[2:]
-    assert np.array_equal(block.values, expected)
+    expected = np.stack([draw_step_noise(params, d, gens) for _ in range(steps)], axis=1)
+    assert block.shape == (runs, steps) + expected.shape[2:]
+    assert np.array_equal(block, expected)
     # Each Generator is left where K single-step draws leave it.
     again = draw_step_noise(params, d, [np.random.default_rng(s) for s in range(runs)],
                             steps=steps + 1)
-    assert np.array_equal(again.values[:, steps], draw_step_noise(params, d, gens).values)
+    assert np.array_equal(again[:, steps], draw_step_noise(params, d, gens))
 
 
 @pytest.mark.parametrize("mode", list(NoiseMode))
 def test_one_step_for_many_runs_equals_a_stack_of_single_run_draws(mode):
     params, d = _params(mode), 4
-    values = draw_step_noise(params, d, (np.random.default_rng(s) for s in range(3))).values
+    values = draw_step_noise(params, d, (np.random.default_rng(s) for s in range(3)))
     expected = np.stack([np.random.default_rng(s).standard_normal(values.shape[1:])
                          for s in range(3)])
     assert np.array_equal(values, expected)
@@ -57,7 +57,7 @@ def test_bad_step_counts_are_rejected(steps):
 def test_numpy_integer_step_counts_are_accepted():
     noise = draw_step_noise(_params(NoiseMode.COMMON), 3, np.random.default_rng(0),
                             steps=np.int64(2))
-    assert noise.values.shape == (2, 3)
+    assert noise.shape == (2, 3)
 
 
 def _cells_for(block_steps, runs, n, d, mode):

@@ -22,7 +22,6 @@ from cbopt.core import (
     CboParams,
     Ensemble,
     NoiseMode,
-    StepNoise,
     predictor_step,
     run,
 )
@@ -67,9 +66,9 @@ def values(seed, shape) -> np.ndarray:
 # ---------------------------------------------------- pre-change expressions
 
 
-def predictor_reference(ensemble, consensus, params, noise):
+def predictor_reference(ensemble, consensus, params, eta):
     dev = ensemble.positions - consensus[..., None, :]
-    eta = noise.values if noise.mode is NoiseMode.INDEPENDENT else noise.values[..., None, :]
+    eta = eta if params.noise_mode is NoiseMode.INDEPENDENT else eta[..., None, :]
     return (
         ensemble.positions
         - (params.lam * params.h) * dev
@@ -123,11 +122,10 @@ def test_predictor_step_matches_the_whole_array_expression(cd, mode, seed, batch
     ens = Ensemble(pos, rng.standard_normal(lead + (n,)))
     cons = values((seed, 1), lead + (d,))
     eta = values((seed, 2), lead + ((d,) if mode is NoiseMode.COMMON else (n, d)))
-    noise = StepNoise(mode, eta)
     copies = [a.copy() for a in (ens.positions, cons, eta)]
     with block_cells(cells):
-        got = predictor_step(ens, cons, params, noise)
-    assert_same_bits(got, predictor_reference(ens, cons, params, noise))
+        got = predictor_step(ens, cons, params, eta)
+    assert_same_bits(got, predictor_reference(ens, cons, params, eta))
     for before, after in zip(copies, (ens.positions, cons, eta)):
         assert_same_bits(after, before)
 
@@ -214,9 +212,8 @@ def test_default_block_size_edges(n, d):
         params = CboParams(lam=1.0, sigma=0.5, beta=1.0, h=0.1, n_particles=n, noise_mode=mode)
         eta = values((n, d, 2), (d,) if mode is NoiseMode.COMMON else (n, d))
         ens = Ensemble(pos, np.zeros(n))
-        noise = StepNoise(mode, eta)
-        assert_same_bits(predictor_step(ens, cons, params, noise),
-                         predictor_reference(ens, cons, params, noise))
+        assert_same_bits(predictor_step(ens, cons, params, eta),
+                         predictor_reference(ens, cons, params, eta))
         want = norms_reference(pos, cons, eta)
         blocks = metaio._blocks(pos.shape)
         assert_same_bits(core._dev_norms(pos, cons, blocks), want[0])

@@ -1,9 +1,14 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cbopt.cli import main
 from cbopt.market import parse_prices
 from cbopt.metaio import parse_metadata, parse_vector
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_meta(path):
@@ -419,3 +424,36 @@ def test_parameters_whose_square_overflows_are_an_error_line(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("lam,sigma", [("1e-200", "0"), ("1e-170", "1e-200")])
+def test_a_lam_whose_square_underflows_still_solves(tmp_path, lam, sigma):
+    out = tmp_path / "out"
+    assert main(["solve", "--objective", "sphere", "--dim", "2", "--lambda", lam,
+                 "--sigma", sigma, "--max-iters", "3", "--out", str(out)]) == 0
+    assert "condition_step_small=true" in (out / "solve_summary.txt").read_text()
+
+
+# Each lattice fails before any memory is touched: 1.7e20 rows exceed an
+# array index, and 1.7e14 rows of 4 floats are 4.74 PiB.
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("step", ["1e-7", "1e-5"])
+def test_a_grid_too_large_to_allocate_is_an_error_line(tmp_path, capsys, command, step):
+    out = tmp_path / "out"
+    extra = ["--runs", "2", "--horizon", "2"] if command == "diagnose" else []
+    assert main([command, "--objective", "sphere", "--dim", "4", "--max-iters", "3", *extra,
+                 "--grid-step", step, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "points" in err and repr(float(step)) in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_the_readme_pipeline_runs_as_written(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8").split("## Command-line pipeline", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("cbopt ")]
+    assert [argv[1] for argv in commands] == ["synth", "ingest", "solve", "frontier", "diagnose"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

@@ -41,7 +41,7 @@ _COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--seed", "--workers"}
 _PROBLEM_FLAGS = {"--objective", "--stats", "--dim", "--projector", "--scale", "--rf"}
 HELP_FLAGS = {
     "synth": _COMMON_FLAGS | {"--assets", "--rows"},
-    "ingest": _COMMON_FLAGS | {"--rf"},
+    "ingest": (_COMMON_FLAGS - {"--seed"}) | {"--rf"},
     "solve": _COMMON_FLAGS | _SOLVER_FLAGS | _PROBLEM_FLAGS
     | {"--reference", "--grid-step", "--thin"},
     "frontier": _COMMON_FLAGS | _SOLVER_FLAGS | {"--stats", "--rf", "--samples", "--svg"},

@@ -21,7 +21,6 @@ from cbopt import (
 from cbopt.core import (
     NoiseMode,
     RunTrace,
-    StepNoise,
     draw_step_noise,
     predictor_step,
     trace_csv_header,
@@ -173,8 +172,7 @@ def test_predictor_known_value():
     # w = 0.5, consensus = 0, lam*h = 0.002, no noise: 0.5 * (1 - 0.002)
     p = params(lam=0.2, h=0.01, sigma=0.0, n_particles=2)
     ens = Ensemble(np.array([[0.5], [-0.5]]), np.zeros(2))
-    noise = StepNoise(NoiseMode.COMMON, np.ones(1))
-    raw = predictor_step(ens, np.zeros(1), p, noise)
+    raw = predictor_step(ens, np.zeros(1), p, np.ones(1))
     assert raw[0, 0] == pytest.approx(0.499, abs=1e-15)
     assert raw[1, 0] == pytest.approx(-0.499, abs=1e-15)
 
@@ -183,8 +181,7 @@ def test_predictor_does_not_mutate_the_ensemble():
     p = params(n_particles=3)
     pos = np.arange(6.0).reshape(3, 2)
     ens = Ensemble(pos.copy(), np.zeros(3))
-    noise = StepNoise(NoiseMode.COMMON, np.array([0.3, -0.8]))
-    predictor_step(ens, np.zeros(2), p, noise)
+    predictor_step(ens, np.zeros(2), p, np.array([0.3, -0.8]))
     np.testing.assert_array_equal(ens.positions, pos)
 
 
@@ -196,7 +193,7 @@ def test_predictor_pairwise_difference_identity_under_common_noise():
     pos = rng.normal(size=(6, 4))
     ens = Ensemble(pos, rng.normal(size=6))
     eta = rng.standard_normal(4)
-    raw = predictor_step(ens, consensus_point(ens, 10.0), p, StepNoise(NoiseMode.COMMON, eta))
+    raw = predictor_step(ens, consensus_point(ens, 10.0), p, eta)
     factor = 1.0 - p.lam * p.h + p.sigma * math.sqrt(p.h) * eta
     for i in range(6):
         for j in range(i):
@@ -208,23 +205,27 @@ def test_predictor_pairwise_difference_identity_under_common_noise():
 def test_predictor_rejects_mismatched_noise():
     p = params(n_particles=3)
     ens = Ensemble(np.zeros((3, 2)), np.zeros(3))
+    # Noise of the other mode has the other mode's shape.
+    with pytest.raises(ConfigurationError, match="common noise"):
+        predictor_step(ens, np.zeros(2), p, np.zeros((3, 2)))
+    independent = params(n_particles=3, noise_mode=NoiseMode.INDEPENDENT)
+    with pytest.raises(ConfigurationError, match="independent noise"):
+        predictor_step(ens, np.zeros(2), independent, np.zeros(2))
     with pytest.raises(ConfigurationError):
-        predictor_step(ens, np.zeros(2), p, StepNoise(NoiseMode.INDEPENDENT, np.zeros((3, 2))))
+        predictor_step(ens, np.zeros(2), p, np.zeros(3))
     with pytest.raises(ConfigurationError):
-        predictor_step(ens, np.zeros(2), p, StepNoise(NoiseMode.COMMON, np.zeros(3)))
-    with pytest.raises(ConfigurationError):
-        predictor_step(ens, np.zeros(3), p, StepNoise(NoiseMode.COMMON, np.zeros(2)))
+        predictor_step(ens, np.zeros(3), p, np.zeros(2))
 
 
 def test_noise_draw_statistics():
     rng = np.random.default_rng(0)
     p = params(n_particles=100, noise_mode=NoiseMode.INDEPENDENT)
-    vals = draw_step_noise(p, 100, rng).values
+    vals = draw_step_noise(p, 100, rng)
     assert vals.shape == (100, 100)
     assert abs(vals.mean()) < 4 / math.sqrt(vals.size)
     assert abs(vals.std() - 1.0) < 0.05
     common = np.concatenate(
-        [draw_step_noise(params(), 5, rng).values for _ in range(2000)]
+        [draw_step_noise(params(), 5, rng) for _ in range(2000)]
     )
     assert abs(common.mean()) < 4 / math.sqrt(common.size)
 

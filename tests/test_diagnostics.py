@@ -113,6 +113,16 @@ def test_squares_that_overflow_are_a_domain_error():
             assert report.m == (2.0 * lam - sigma**2) - lam**2 * 0.01
 
 
+@pytest.mark.parametrize("lam,sigma", [(1e-200, 0.0), (1e-170, 1e-200)])
+def test_a_lam_whose_square_underflows_has_no_step_bound(lam, sigma):
+    # lam**2 == 0, so (2*lam - sigma**2)/lam**2 would divide by zero; the
+    # bound is +inf and any h > 0 meets it once the drift dominates.
+    report = check_params(params(lam=lam, sigma=sigma, h=0.1))
+    assert lam**2 == 0.0 and report.m == 2.0 * lam
+    assert report.cond_drift and report.cond_h
+    assert report.verdict is (Verdict.SATISFIED if sigma > 0 else Verdict.VIOLATED)
+
+
 def test_summary_text_structure():
     good = summary_text(check_params(params()))
     assert "m=1.65" in good

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbopt.cli import _SVG_CHUNK, _frontier_svg
+from cbopt.cli import _SVG_CHUNK, _svg_pieces
 from cbopt.core import RunTrace, TraceRecord, trace_csv_header, write_trace_csv
 from cbopt.errors import ConfigurationError, DegeneratePortfolioError
 from cbopt.market import (
@@ -254,7 +254,7 @@ def test_frontier_svg_circles_match_the_per_point_formula(n, seed):
     ret = rng.uniform(-1e-3, 2e-3, n)
     cloud = FrontierCloud(np.full((n, 2), 0.5), ret, risk, (ret - 1e-4) / risk)
     tangency, intercept, slope = (0.012, 9e-4), 1e-4, (9e-4 - 1e-4) / 0.012
-    lines = _frontier_svg(cloud, intercept, slope, tangency).splitlines()
+    lines = "".join(_svg_pieces(cloud, intercept, slope, tangency)).splitlines()
     circles = [ln for ln in lines if ln.startswith("<circle")]
     assert circles == old_frontier_svg_circles(cloud, intercept, tangency)
     # the circles sit between the axis labels and the CML, in cloud order
@@ -273,7 +273,7 @@ def test_frontier_svg_circles_keep_the_rounding_ties_of_the_per_point_formula():
     risk = np.concatenate([frame.risk, xs, np.full(len(ys), 0.02)])
     ret = np.concatenate([frame.ret, np.full(len(xs), 5e-4), ys])
     cloud = FrontierCloud(np.zeros((risk.size, 1)), ret, risk, np.zeros(risk.size))
-    lines = _frontier_svg(cloud, intercept, 0.04, tangency).splitlines()
+    lines = "".join(_svg_pieces(cloud, intercept, 0.04, tangency)).splitlines()
     assert [ln for ln in lines if ln.startswith("<circle")] == old_frontier_svg_circles(
         cloud, intercept, tangency
     )
@@ -286,6 +286,6 @@ def test_frontier_svg_circles_match_the_per_point_formula_across_chunks():
     ret = rng.uniform(-1e-3, 2e-3, n)
     cloud = FrontierCloud(np.full((n, 2), 0.5), ret, risk, (ret - 1e-4) / risk)
     tangency, intercept, slope = (0.012, 9e-4), 1e-4, (9e-4 - 1e-4) / 0.012
-    lines = _frontier_svg(cloud, intercept, slope, tangency).splitlines()
+    lines = "".join(_svg_pieces(cloud, intercept, slope, tangency)).splitlines()
     assert lines[6:6 + n] == old_frontier_svg_circles(cloud, intercept, tangency)
     assert lines[5].startswith("<text") and lines[6 + n].startswith("<line")

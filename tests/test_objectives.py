@@ -148,18 +148,6 @@ def test_objective_without_batch_falls_back_to_loop():
     np.testing.assert_allclose(obj.eval_many(pts), [1.0, 5.0, 9.0])
 
 
-def test_gradients_match_finite_differences(market3):
-    from cbopt.baseline import finite_diff_gradient
-
-    rng = np.random.default_rng(3)
-    w = rng.dirichlet(np.ones(3))
-    for obj in (neg_sharpe(market3), sphere(np.array([0.5, 0.2, 0.3])), rastrigin(np.zeros(3))):
-        assert obj.grad is not None
-        num = finite_diff_gradient(obj, w, 1e-5)
-        ana = obj.grad(w)
-        np.testing.assert_allclose(ana, num, rtol=1e-4, atol=1e-6)
-
-
 def test_market_stats_validation():
     with pytest.raises(ConfigurationError):
         MarketStats(np.array([0.1, 0.2]), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric

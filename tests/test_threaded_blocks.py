@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from cbopt import core, metaio
-from cbopt.core import CboParams, Ensemble, NoiseMode, StepNoise, predictor_step, run
+from cbopt.core import CboParams, Ensemble, NoiseMode, predictor_step, run
 from cbopt.core import write_trace_csv
 from cbopt.errors import NumericDomainError
 from cbopt.objectives import rastrigin, sphere
@@ -97,9 +97,9 @@ def serial_and_threaded(cpus, started, kernel):
 # ---------------------------------------------------- pre-change expressions
 
 
-def predictor_reference(ensemble, consensus, params, noise):
+def predictor_reference(ensemble, consensus, params, eta):
     dev = ensemble.positions - consensus[..., None, :]
-    eta = noise.values if noise.mode is NoiseMode.INDEPENDENT else noise.values[..., None, :]
+    eta = eta if params.noise_mode is NoiseMode.INDEPENDENT else eta[..., None, :]
     return (
         ensemble.positions
         - (params.lam * params.h) * dev
@@ -149,12 +149,11 @@ def test_predictor_step(cells, cpus, started, mode, lead):
     ens = Ensemble(values((cells, 0), lead + (n, d)), np.zeros(lead + (n,)))
     cons = values((cells, 1), lead + (d,))
     eta = values((cells, 2), lead + ((d,) if mode is NoiseMode.COMMON else (n, d)))
-    noise = StepNoise(mode, eta)
     copies = [a.copy() for a in (ens.positions, cons, eta)]
     serial, threaded = serial_and_threaded(
-        cpus, started, lambda: predictor_step(ens, cons, params, noise))
+        cpus, started, lambda: predictor_step(ens, cons, params, eta))
     assert_same_bits(threaded, serial)
-    assert_same_bits(threaded, predictor_reference(ens, cons, params, noise))
+    assert_same_bits(threaded, predictor_reference(ens, cons, params, eta))
     for before, after in zip(copies, (ens.positions, cons, eta)):
         assert_same_bits(after, before)
 
