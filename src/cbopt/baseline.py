@@ -23,6 +23,10 @@ __all__ = [
 
 _EVAL_CHUNK = 65536
 MAX_GRID_DIM = 4
+# Float64 cells a lattice may hold (128 MiB): the d=4, step-0.01 grid has
+# 707,404 and d=3, step 0.001 has 1,504,503, while d=4, step 0.001 would
+# need 5.4 GB before its index temporaries.
+_MAX_LATTICE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,10 @@ class ReferenceSolution:
 def simplex_lattice(d: int, step: float) -> np.ndarray:
     """All simplex points with coordinates on a step-width lattice.
 
-    ``1/step`` must be an integer to within 1e-9.  Rows are returned in
-    lexicographically ascending order, which the grid search relies on for
-    its tie-breaking rule.
+    ``1/step`` must be an integer to within 1e-9, and the lattice may hold
+    at most 2**24 coordinates.  Rows are returned in lexicographically
+    ascending order, which the grid search relies on for its tie-breaking
+    rule.
     """
     if not _is_int(d) or d < 1:
         raise ConfigurationError("d must be a positive integer")
@@ -68,12 +73,12 @@ def simplex_lattice(d: int, step: float) -> np.ndarray:
     # prefix with sum s and r columns still to fill heads C(k-s+r-1, r-1)
     # rows, so each column is its values repeated that many times.
     n_points = math.comb(k + d - 1, d - 1)
-    try:
-        out = np.empty((n_points, d))
-    except (ValueError, MemoryError):  # more rows than an index holds, or than memory
+    if n_points * d > _MAX_LATTICE_CELLS:
         raise ConfigurationError(
-            f"a step-{step!r} lattice at d={d} has {n_points} points, too many to allocate"
-        ) from None
+            f"a step-{step!r} lattice at d={d} has {n_points} points, more than "
+            f"{_MAX_LATTICE_CELLS} coordinates (128 MiB)"
+        )
+    out = np.empty((n_points, d))
     sums = np.zeros(1, dtype=np.int64)
     for col in range(d - 1):
         counts = k - sums + 1

@@ -114,6 +114,8 @@ def _resolve(args) -> dict:
             resolved[key] = _cast(key, from_file[key], caster)
         else:
             resolved[key] = default
+    if resolved.get("seed", 0) < 0:  # numpy's seeding would raise a bare ValueError
+        raise ConfigurationError("seed must be a nonnegative integer")
     return resolved
 
 
@@ -506,11 +508,11 @@ def main(argv=None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
-    except CbOptError as exc:
+    except (CbOptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _part, _pieces, _row_sq,
-    fmt_float, fmt_rows,
+    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _part, _row_sq, _write_csv,
+    fmt_float,
 )
 
 __all__ = [
@@ -189,12 +189,6 @@ class RunTrace:
     def dispersions(self) -> np.ndarray:
         return np.array([r.dispersion for r in self.records], dtype=float)
 
-    def best_values(self) -> np.ndarray:
-        return np.array([r.best_value for r in self.records], dtype=float)
-
-    def consensus_points(self) -> np.ndarray:
-        return np.array([r.consensus for r in self.records], dtype=float)
-
     def centers_of_mass(self) -> np.ndarray:
         return np.array([r.center_of_mass for r in self.records], dtype=float)
 
@@ -203,13 +197,6 @@ class RunTrace:
 
     def b_values(self) -> np.ndarray:
         return np.array([r.b_n for r in self.records], dtype=float)
-
-    def ref_errors(self) -> np.ndarray:
-        """Reference errors with NaN where no reference was attached."""
-        return np.array(
-            [math.nan if r.err_ref is None else r.err_ref for r in self.records],
-            dtype=float,
-        )
 
 
 @dataclass(frozen=True)
@@ -552,21 +539,10 @@ def write_trace_csv(trace: RunTrace, path, workers: int = 1) -> None:
     """
     if not trace.records:
         raise ConfigurationError("cannot write an empty trace")
-    dim = trace.records[0].consensus.shape[0]
-    block = np.column_stack(
-        (trace.residuals(), trace.dispersions(), trace.best_values(), trace.consensus_points(),
-         trace.centers_of_mass(), trace.a_values(), trace.b_values())
-    )
-
-    def render(lo: int, hi: int) -> str:
-        lines = []
-        for r, body in zip(trace.records[lo:hi], fmt_rows(block[lo:hi])):
-            err = "" if r.err_ref is None else fmt_float(r.err_ref)
-            lines.append(f"{r.iteration},{body},{err}\n")
-        return "".join(lines)
-
-    pieces = _pieces(len(block), block.shape[1], render, workers)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(trace_csv_header(dim) + "\n")
-        fh.flush()
-        fh.writelines(pieces)
+    recs = trace.records
+    _write_csv(path, trace_csv_header(recs[0].consensus.shape[0]), [
+        [str(r.iteration) for r in recs], trace.residuals(), trace.dispersions(),
+        [r.best_value for r in recs], [r.consensus for r in recs], trace.centers_of_mass(),
+        trace.a_values(), trace.b_values(),
+        ["" if r.err_ref is None else fmt_float(r.err_ref) for r in recs],
+    ], workers)

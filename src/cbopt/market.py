@@ -24,7 +24,9 @@ from .errors import (
     EstimationError,
     IngestionError,
 )
-from .metaio import _is_int, _pieces, fmt_float, fmt_rows, fmt_vector, parse_vector
+from .metaio import (
+    _is_int, _table_rows, _write_csv, fmt_float, fmt_vector, parse_metadata, parse_vector,
+)
 from .objectives import DEFAULT_VAR_FLOOR, MarketStats, _check_names, _sharpe_rows
 
 __all__ = [
@@ -176,9 +178,8 @@ def parse_prices(text: str) -> PriceSeries:
 
 def format_prices(series: PriceSeries) -> str:
     """Serialize with full round-trip precision; inverse of parse_prices."""
-    lines = ["date," + ",".join(series.asset_names)]
-    lines += [day + "," + row for day, row in zip(series.dates, fmt_rows(series.prices))]
-    return "\n".join(lines) + "\n"
+    header = "date," + ",".join(series.asset_names) + "\n"
+    return header + _table_rows([np.asarray(series.dates), series.prices], 0, series.n_periods)
 
 
 def normalize_prices(series: PriceSeries, base: float = 100.0) -> PriceSeries:
@@ -334,19 +335,8 @@ def write_frontier_csv(cloud: FrontierCloud, path, workers: int = 1) -> None:
     formatted on up to ``workers`` processes (capped at the usable CPUs);
     the bytes are the same for every ``workers``.
     """
-    d = cloud.weights.shape[1]
-
-    def render(lo: int, hi: int) -> str:
-        block = np.column_stack(
-            (cloud.risk[lo:hi], cloud.ret[lo:hi], cloud.sharpe[lo:hi], cloud.weights[lo:hi])
-        )
-        return "\n".join(fmt_rows(block)) + "\n"
-
-    pieces = _pieces(len(cloud), d + 3, render, workers)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(d)) + "\n")
-        fh.flush()
-        fh.writelines(pieces)
+    header = "risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(cloud.weights.shape[1]))
+    _write_csv(path, header, [cloud.risk, cloud.ret, cloud.sharpe, cloud.weights], workers)
 
 
 def format_stats(stats: MarketStats) -> str:
@@ -363,15 +353,10 @@ def format_stats(stats: MarketStats) -> str:
 
 def parse_stats(text: str) -> MarketStats:
     """Inverse of :func:`format_stats`."""
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigurationError(f"malformed stats line {raw!r}")
-        fields[key.strip()] = value.strip()
+    try:
+        fields = parse_metadata(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"malformed stats {exc}") from None
     try:
         d = int(fields["d"])
         rf = float(fields["rf"])

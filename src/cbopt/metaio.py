@@ -5,16 +5,17 @@ round-trip ``repr`` of the float64 value: :func:`fmt_float` for one value,
 :func:`fmt_vector` for a vector and :func:`fmt_rows` for a 2-D block.  That
 keeps files byte-stable across repeated runs and lets a reader recover the
 exact binary value.  ``repr`` costs about a microsecond per float on one
-core, so the CSV writers hand large blocks to :func:`_pieces`, which
-formats them on several forked processes.  The same row ranges
-(:func:`_row_ranges`) cut the numeric kernels' ``(N, d)`` arrays into
-cache-sized blocks (:func:`_blocks`), and :func:`_each_block` runs a
-kernel's blocks on short-lived threads, up to one per usable CPU, joined
-before it returns.  Every block keeps its operands and ufunc order, so the
-bits do not depend on the number of threads.  :func:`_row_sq`, the squared
-distance of each row to a center, is the kernel the solver's residuals,
-the sphere objective, the ball's membership test and the decay experiment
-share.
+core.  Every CSV table is rendered by :func:`_table_rows`, and every table
+file but the prices CSV is written by :func:`_write_csv`, which formats a
+large one in pieces on several forked processes (:func:`_pieces`).  The
+same row ranges (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)``
+arrays into cache-sized blocks (:func:`_blocks`), and :func:`_each_block`
+runs a kernel's blocks on short-lived threads, up to one per usable CPU,
+joined before it returns.  Every block keeps its operands and ufunc order,
+so the bits do not depend on the number of threads.  :func:`_row_sq`, the
+squared distance of each row to a center, is the kernel the solver's
+residuals, the sphere objective, the ball's membership test and the decay
+experiment share.
 """
 
 from __future__ import annotations
@@ -78,28 +79,46 @@ def fmt_rows(block) -> list[str]:
     return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and one line per row, each row taking its cells from
-    ``columns`` in turn; rows stop at the shortest column.
+def _table_rows(cols, lo: int, hi: int) -> str:
+    """CSV lines for rows ``lo:hi``, each row taking its cells from the
+    arrays ``cols`` in turn.
 
     A column of strings is written as it is, a boolean column as
     ``true``/``false`` and any other column as floats with :func:`fmt_rows`
     (a 2-D one gives several cells per row).  Adjacent float columns are
     formatted as one block.
     """
-    cols = [np.asarray(col) for col in columns]
-    rows = min(len(col) for col in cols)
     cells = []
-    for kind, group in itertools.groupby((col[:rows] for col in cols), lambda c: c.dtype.kind):
+    for kind, group in itertools.groupby((col[lo:hi] for col in cols), lambda c: c.dtype.kind):
         if kind == "U":
             cells += [col.tolist() for col in group]
         elif kind == "b":
             cells += [["true" if v else "false" for v in col.tolist()] for col in group]
         else:
             cells.append(fmt_rows(np.column_stack(list(group))))
+    # The trailing "" ends the last row with a newline, without copying the
+    # text; a one-cell row joins to its own string, so it is not copied either.
+    return "\n".join(itertools.chain(map(",".join, zip(*cells)), [""]))
+
+
+def _write_csv(path, header: str, columns, workers: int = 1) -> None:
+    """Write ``header`` and the :func:`_table_rows` of ``columns``; rows stop
+    at the shortest column.
+
+    The rows are rendered in pieces of about ``_PIECE_CELLS`` float cells
+    on up to ``workers`` processes (:func:`_pieces`, capped at the usable
+    CPUs); the bytes are the same for every ``workers``.  The header is
+    flushed before the first piece is drawn, so no forked child inherits
+    unwritten output.
+    """
+    cols = [np.asarray(col) for col in columns]
+    rows = min(len(col) for col in cols)
+    row_cells = sum(math.prod(col.shape[1:]) for col in cols if col.dtype.kind not in "Ub")
+    pieces = _pieces(rows, row_cells, lambda lo, hi: _table_rows(cols, lo, hi), workers)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.flush()
+        fh.writelines(pieces)
 
 
 def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]]:
@@ -239,8 +258,8 @@ def _pieces(n_rows: int, row_cells: int, render, workers: int):
     others are forked children, so ``render`` may be any closure.  P is 1,
     and nothing forks, without ``os.fork`` or while other threads run.
     ``render`` must be deterministic; the text is then the same for every
-    ``workers``.  A caller writing a file flushes it before drawing the first
-    piece, so no child inherits unwritten output.
+    ``workers``.  The one caller, :func:`_write_csv`, flushes its file
+    before drawing the first piece, so no child inherits unwritten output.
     """
     if not _is_int(workers) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")

@@ -26,6 +26,16 @@ def test_lattice_counts_match_the_stars_and_bars_formula():
     assert len(simplex_lattice(4, 0.2)) == 56
 
 
+def test_a_lattice_above_the_cap_is_rejected_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice was allocated")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    # C(1003, 3) = 167,668,501 rows of 4 coordinates: 5.4 GB
+    with pytest.raises(ConfigurationError, match="d=4 has 167668501 points"):
+        simplex_lattice(4, 0.001)
+
+
 def test_lattice_rows_are_simplex_points_and_sorted():
     pts = simplex_lattice(3, 0.2)
     assert np.all(pts >= 0)

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cbopt import market
 from cbopt.cli import main
-from cbopt.market import parse_prices
+from cbopt.market import format_stats, parse_prices
 from cbopt.metaio import parse_metadata, parse_vector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -434,10 +435,10 @@ def test_a_lam_whose_square_underflows_still_solves(tmp_path, lam, sigma):
     assert "condition_step_small=true" in (out / "solve_summary.txt").read_text()
 
 
-# Each lattice fails before any memory is touched: 1.7e20 rows exceed an
-# array index, and 1.7e14 rows of 4 floats are 4.74 PiB.
+# Each lattice is above the 2**24-coordinate cap, so it fails before any
+# memory is touched: 1.7e20, 1.7e14 and 1.7e8 rows (5.4 GB) of 4 floats.
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
-@pytest.mark.parametrize("step", ["1e-7", "1e-5"])
+@pytest.mark.parametrize("step", ["1e-7", "1e-5", "0.001"])
 def test_a_grid_too_large_to_allocate_is_an_error_line(tmp_path, capsys, command, step):
     out = tmp_path / "out"
     extra = ["--runs", "2", "--horizon", "2"] if command == "diagnose" else []
@@ -447,6 +448,38 @@ def test_a_grid_too_large_to_allocate_is_an_error_line(tmp_path, capsys, command
     assert err.startswith("error:") and "points" in err and repr(float(step)) in err
     assert "Traceback" not in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["synth", "solve", "frontier", "diagnose"])
+def test_a_negative_seed_is_an_error_line_before_any_output(tmp_path, capsys, market3,
+                                                           command, source):
+    stats = tmp_path / "stats.txt"
+    stats.write_text(format_stats(market3))
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command != "synth":
+        argv += ["--stats", str(stats), "--max-iters", "3"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "run.cfg").write_text("seed=-3\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
+    assert not out.exists()
+
+
+def test_an_allocation_that_fails_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def no_memory(d):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for an array with shape ({d}, {d})")
+
+    monkeypatch.setattr(market, "demo_market", no_memory)
+    assert main(["synth", "--assets", "100000", "--rows", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 74.5 GiB")
+    assert "Traceback" not in err
 
 
 def test_the_readme_pipeline_runs_as_written(tmp_path, monkeypatch):

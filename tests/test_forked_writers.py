@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from cbopt import market, metaio
+from cbopt import metaio
 from cbopt.cli import main
 from cbopt.core import RunTrace, TraceRecord, write_trace_csv
 from cbopt.market import FrontierCloud, format_stats, write_frontier_csv
@@ -135,14 +135,14 @@ def test_trace_csv_bytes_do_not_depend_on_workers(tmp_path, forks, n, d):
 
 def fail_in_children(monkeypatch):
     parent = os.getpid()
-    real = market.fmt_rows
+    real = metaio.fmt_rows
 
     def fmt_rows(block):
         if os.getpid() != parent:
             raise RuntimeError("formatter failed in a child")
         return real(block)
 
-    monkeypatch.setattr(market, "fmt_rows", fmt_rows)
+    monkeypatch.setattr(metaio, "fmt_rows", fmt_rows)
 
 
 def test_a_child_that_raises_makes_the_parent_raise(tmp_path, forks, monkeypatch):
