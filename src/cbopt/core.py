@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _part, _row_sq, _write_csv,
-    fmt_float,
+    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _mean, _part, _row_sq,
+    _write_csv, fmt_float,
 )
 
 __all__ = [
@@ -225,7 +225,7 @@ def mean_pairwise_sq(positions):
     pos = np.asarray(positions, dtype=float)
     if pos.ndim not in (2, 3) or pos.shape[-2] < 2:
         raise ConfigurationError("need (N, d) or (R, N, d) positions with N >= 2")
-    return _pairwise_sq(pos, pos.mean(axis=-2, keepdims=True))
+    return _pairwise_sq(pos, _mean(pos, axis=-2, keepdims=True))
 
 
 def _pairwise_sq(pos: np.ndarray, com: np.ndarray, work: np.ndarray | None = None):
@@ -408,7 +408,7 @@ def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRe
     the rows a trace keeps.
     """
     pos = ensemble.positions
-    com = pos.mean(axis=0)
+    com = _mean(pos, axis=0)
     return TraceRecord(ensemble.iteration, cons, _pairwise_sq(pos, com), residual, best_value,
                        com, a_n, b_n)
 
@@ -462,7 +462,7 @@ def cbo_step(
     dist = _dev_norms(ensemble.positions, cons, _blocks(ensemble.positions.shape))
     record = _record(
         ensemble, cons, float(dist.max()), float(ensemble.objective_values.min()),
-        float(dist.mean()), 0.0,
+        float(_mean(dist)), 0.0,
     )
     advanced, _ = _advance(ensemble, cons, params, projector, objective, rng)
     return advanced, record
@@ -503,7 +503,7 @@ def run(
         pos = ensemble.positions
         dist = _dev_norms(pos, cons, blocks)
         residual = float(dist.max())
-        a_sum += float(dist.mean())
+        a_sum += float(_mean(dist))
         i = int(np.argmin(ensemble.objective_values))
         current = float(ensemble.objective_values[i])
         if current < best_value:
@@ -515,7 +515,7 @@ def run(
         if stop:
             break
         ensemble, eta = _advance(ensemble, cons, params, projector, objective, rng)
-        b_sum += float(_dev_norms(pos, cons, blocks, eta).mean())
+        b_sum += float(_mean(_dev_norms(pos, cons, blocks, eta)))
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

@@ -39,7 +39,7 @@ from .core import (
     init_ensemble,
 )
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _block_ranges, _is_int, _row_sq, _write_csv, fmt_float
+from .metaio import _block_ranges, _is_int, _mean, _row_sq, _write_csv, fmt_float
 
 __all__ = [
     "Verdict",
@@ -233,9 +233,9 @@ def decay_experiment(
     run_cons_sq = np.empty((runs, horizon + 1))
     for n in range(horizon + 1):
         pos = ens.positions
-        run_pair[:, n] = _pairwise_sq(pos, pos.mean(axis=-2, keepdims=True), work)
+        run_pair[:, n] = _pairwise_sq(pos, _mean(pos, axis=-2, keepdims=True), work)
         cons = consensus_point(ens, params.beta)
-        run_cons_sq[:, n] = _row_sq(pos, cons[:, None, :], blocks=blocks).mean(axis=-1)
+        run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :], blocks=blocks), axis=-1)
         if n < horizon:
             if n % block_steps == 0:
                 steps = min(block_steps, horizon - n)

@@ -49,6 +49,10 @@ __all__ = [
 
 _FRONTIER_CHUNK = 8192
 
+# Cells of each d x d demo matrix: 2**24 float64 is 128 MiB, so a mistyped
+# --assets is an error line instead of gigabytes of swap.
+_MAX_DEMO_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -277,6 +281,11 @@ def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
     mildly banded correlation structure (rho^|i-j|, rho = 0.3)."""
     if not _is_int(d) or d < 1:
         raise ConfigurationError("d must be a positive integer")
+    if int(d) ** 2 > _MAX_DEMO_CELLS:
+        raise ConfigurationError(
+            f"a demo market of d={d} assets needs {d}x{d} matrices, more than "
+            f"{_MAX_DEMO_CELLS} cells (128 MiB) each"
+        )
     vols = np.linspace(0.010, 0.030, d)
     idx = np.arange(d)
     corr = 0.3 ** np.abs(idx[:, None] - idx[None, :])

@@ -4,18 +4,22 @@ Every float this package writes is rendered with Python's shortest
 round-trip ``repr`` of the float64 value: :func:`fmt_float` for one value,
 :func:`fmt_vector` for a vector and :func:`fmt_rows` for a 2-D block.  That
 keeps files byte-stable across repeated runs and lets a reader recover the
-exact binary value.  ``repr`` costs about a microsecond per float on one
-core.  Every CSV table is rendered by :func:`_table_rows`, and every table
-file but the prices CSV is written by :func:`_write_csv`, which formats a
-large one in pieces on several forked processes (:func:`_pieces`).  The
-same row ranges (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)``
-arrays into cache-sized blocks (:func:`_blocks`), and :func:`_each_block`
-runs a kernel's blocks on short-lived threads, up to one per usable CPU,
-joined before it returns.  Every block keeps its operands and ufunc order,
-so the bits do not depend on the number of threads.  :func:`_row_sq`, the
-squared distance of each row to a center, is the kernel the solver's
-residuals, the sphere objective, the ball's membership test and the decay
-experiment share.
+exact binary value.  :func:`fmt_rows` computes those bytes on whole arrays
+(:func:`_fmt_block`): for a finite cell with 1e-4 <= |x| < 2**53 and a
+mantissa that is not a power of two, int64 arithmetic decides exactly which
+of the nearest 17-, 16- and 15-digit decimals is ``repr``'s, and every
+other cell, and every tie or distance on the half-ulp boundary, gets
+``repr``'s own text.  Every CSV table is rendered by :func:`_table_rows`,
+and every table file but the prices CSV is written by :func:`_write_csv`,
+which formats a large one in pieces on several forked processes
+(:func:`_pieces`).  The same row ranges (:func:`_row_ranges`) cut the
+numeric kernels' ``(N, d)`` arrays into cache-sized blocks
+(:func:`_blocks`), and :func:`_each_block` runs a kernel's blocks on
+short-lived threads, up to one per usable CPU, joined before it returns.
+Every block keeps its operands and ufunc order, so the bits do not depend
+on the number of threads.  :func:`_row_sq`, the squared distance of each
+row to a center, is the kernel the solver's residuals, the sphere
+objective, the ball's membership test and the decay experiment share.
 """
 
 from __future__ import annotations
@@ -73,10 +77,145 @@ def fmt_vector(vec) -> str:
 def fmt_rows(block) -> list[str]:
     """One comma-joined line of round-trip floats per row of a 2-D block.
 
-    The same bytes as :func:`fmt_float` on each cell, but converted to
-    Python floats once per block rather than once per cell.
+    The same bytes as :func:`fmt_float` on each cell, rendered for the
+    whole block at once by :func:`_fmt_block`.
     """
-    return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
+    block = np.asarray(block, dtype=float)
+    return _fmt_block(block).split("\n") if len(block) else []
+
+
+# Tables of the shortest round-trip kernel (_fmt_block).  10**k is exact in
+# float64 and 5**k < 2**49 for k < 22.  "00" .. "99" are 2-byte items, taken
+# and viewed back as bytes, so no byte order is assumed.
+_POW10 = 10.0 ** np.arange(22)
+_POW5 = 5 ** np.arange(22, dtype=np.int64)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+_CELL = 44  # bytes per cell: separator, sign, "0.000" prefix (6), 9 x (pair, gap)
+_FMT_CELLS = 1 << 13  # cells per kernel pass: about 2 MB of scratch
+
+
+def _cell_layouts():
+    """Keep masks and literal bytes, by ``17 * (q + 4) + n - 1``, of a cell
+    of ``n`` digits and decimal exponent ``q``: character t of the 9 pairs
+    of ``w`` (the digits, times 10 if ``q`` is negative or odd so the point
+    falls between pairs) is byte 8 + 4 * (t // 2) + t % 2.  The literals
+    are the point, or the ``0.`` and zeros that lead a cell below 1.
+    """
+    q = np.arange(-4, 16)[:, None, None]
+    n = np.arange(1, 18)[:, None]
+    t = np.arange(18)
+    shift = (q < 0) | (q % 2 == 1)
+    # the last digit kept; an integer keeps one fraction digit ("12.0")
+    last = np.where(q < 0, n, np.maximum(n, q + 2)) - shift
+    mask = np.zeros((20, 17, _CELL), np.uint8)
+    mask[:, :, 8 + 4 * (t // 2) + t % 2] = 255 * ((t >= 1 - shift) & (t <= last))
+    text = np.zeros((20, 17, _CELL), np.uint8)
+    for i, qi in enumerate(range(-4, 16)):
+        if qi < 0:
+            text[i, :, 2:3 - qi] = list(b"0." + b"0" * (-qi - 1))
+        else:
+            text[i, :, 10 + 4 * (qi // 2)] = ord(".")
+    return (mask.reshape(340, _CELL).view(f"V{_CELL}").ravel(),
+            text.reshape(340, _CELL).view(f"V{_CELL}").ravel())
+
+
+_MASKS, _TEXTS = _cell_layouts()
+
+
+def _fmt_block(block: np.ndarray) -> str:
+    """``"\\n".join(",".join(map(repr, row)) for row in block.tolist())``
+    for a 2-D float block, computed on whole arrays.
+
+    ``repr`` prints the shortest decimal that reads back as the same float
+    and, of those, the nearest (Steele & White; Gay, "Correctly rounded
+    binary-decimal and decimal-binary conversions", 1990).  For a finite
+    cell with 1e-4 <= |x| < 2**53 whose mantissa is not a power of two:
+
+    - ``frexp`` gives |x| = m * 2**(e - 54), m even.  With q = floor(log10
+      |x|) and k = 16 - q, T = |x| * 10**k is in [1e16, 1e17) and equals
+      m * 5**k / 2**s, s = 54 - e - k in [0, 47].
+    - C = int(|x| * 10**k) is one rounding from T, so |C - T| <= 8 and
+      m * 5**k - C * 2**s, taken modulo 2**64, is exact: it gives
+      N = floor(T) and the remainder r / 2**s.
+    - In units of 2**-s, half the gap to either neighbour of x is 5**k: a
+      decimal reads back as x if its distance to T is below that, and not
+      if above.  That interval is wider than 1 and narrower than 23 units
+      of T, so the nearest multiple of 1 (17 digits) reads back and at most
+      one multiple of 100 does.  That one, if any, is ``repr``'s digits
+      with the trailing zeros dropped; if none, the nearest multiple of 10
+      (16 digits) is, if it reads back; if not, the nearest multiple of 1.
+
+    Every other cell gets ``repr``'s own text: 0, inf, nan, magnitudes out
+    of range, power-of-two mantissas, a distance of exactly 5**k, a tie, a
+    misjudged q and a carry to 18 digits.  Each pass of ``_FMT_CELLS``
+    cells fills ``_CELL`` bytes per cell and drops the zero bytes.
+    """
+    rows, cols = block.shape
+    flat = block.reshape(-1)
+    out = np.empty((min(flat.size, _FMT_CELLS), _CELL), np.uint8)
+    parts = []
+    for lo in range(0, flat.size, _FMT_CELLS):
+        cells = _fmt_cells(flat[lo:lo + _FMT_CELLS], out)
+        cells[:, 0] = ord(",")
+        cells[-lo % cols::cols, 0] = ord("\n")
+        if not lo:
+            cells[0, 0] = 0  # the first cell has no separator
+        parts.append(cells.tobytes().translate(None, b"\0"))
+    # Rows of no cells are empty lines.
+    return b"".join(parts).decode("ascii") if flat.size else "\n" * max(rows - 1, 0)
+
+
+def _fmt_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows of ``out`` holding the cells of 1-D ``x`` (see :func:`_fmt_block`);
+    byte 0 of each, the separator, is left to the caller."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 2.0**53)
+    a[~fast] = 1.5
+    f, e = np.frexp(a)
+    q = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - q
+    s = 54 - k - e
+    half = _POW5.take(k)
+    c = (a * _POW10.take(k)).astype(np.int64)
+    d = (f * 2.0**54).astype(np.int64) * half - (c << s)
+    n = c + (d >> s)
+    one = np.left_shift(1, s)
+    r = d & (one - 1)
+    n10, n100 = n - n // 10 * 10, n - n // 100 * 100
+    r10, r100 = n10 * one + r, n100 * one + r
+    d10, d100 = np.minimum(r10, 10 * one - r10), np.minimum(r100, 100 * one - r100)
+    by10, by100 = d10 < half, d100 < half
+    v = np.where(by10, n - n10 + 10 * (r10 > 5 * one), n + (2 * r > one))
+    v = np.where(by100, n - n100 + 100 * (r100 > 50 * one), v)
+    tie = np.where(by10, r10 == 5 * one, 2 * r == one)
+    fast &= (f != 0.5) & (by100 | ~tie) & (d10 != half) & (d100 != half)
+    fast &= (n >= 10**16) & (v < 10**17)
+    q[~fast], v[~fast] = 0, 10**16
+    shift = (q < 0) | (q & 1 == 1)
+    w = v * (1 + 9 * shift)
+    pairs = np.empty((9, x.size), np.int64)
+    for i in range(8, -1, -1):
+        hi = w // 100
+        pairs[i] = w - 100 * hi
+        w = hi
+    cells = out[:x.size]
+    cells.view(np.uint16)[:, 4::2] = _PAIRS.take(pairs).T
+    digits = 17 - by10 - by100
+    short = np.flatnonzero(by100 & fast)
+    if short.size:  # drop the trailing zeros of a multiple of 100
+        tail = pairs[:, short]
+        zero_pairs = (tail[::-1] != 0).argmax(axis=0)
+        last = tail[8 - zero_pairs, np.arange(short.size)]
+        digits[short] = 17 + shift[short] - 2 * zero_pairs - (last % 10 == 0)
+    key = 17 * (q + 4) + digits - 1
+    cells &= _MASKS.take(key).view(np.uint8).reshape(-1, _CELL)
+    cells |= _TEXTS.take(key).view(np.uint8).reshape(-1, _CELL)
+    cells[:, 1] = np.signbit(x) * np.uint8(ord("-"))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([repr(t) for t in x[slow].tolist()], dtype=f"S{_CELL - 1}")
+        cells[slow, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
+    return cells
 
 
 def _table_rows(cols, lo: int, hi: int) -> str:
@@ -228,6 +367,14 @@ def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None, blocks=None) -> np.n
 
     _each_block(ranges, body, scratch)
     return out
+
+
+def _mean(arr: np.ndarray, axis=None, keepdims: bool = False):
+    """``arr.mean(axis, keepdims=keepdims)`` of a float array, with the same
+    bits: ``np.mean`` is this ``add.reduce`` and a true divide by the count,
+    behind some microseconds of Python that the per-step callers skip."""
+    count = arr.size if axis is None else arr.shape[axis]
+    return np.add.reduce(arr, axis=axis, keepdims=keepdims) / count
 
 
 def _is_int(value) -> bool:

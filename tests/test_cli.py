@@ -482,6 +482,15 @@ def test_an_allocation_that_fails_is_an_error_line(tmp_path, capsys, monkeypatch
     assert "Traceback" not in err
 
 
+def test_a_demo_market_above_the_cap_is_an_error_line(tmp_path, capsys):
+    # One asset over 2**12: the check comes before any allocation.
+    assert main(["synth", "--assets", "4097", "--rows", "2", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a demo market of d=4097 assets needs 4097x4097 matrices")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "prices.csv").exists()
+
+
 def test_the_readme_pipeline_runs_as_written(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8").split("## Command-line pipeline", 1)[1]
     block = text.split("```sh\n", 1)[1].split("```", 1)[0]

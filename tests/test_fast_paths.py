@@ -16,7 +16,7 @@ from cbopt.market import (
     format_prices,
     write_frontier_csv,
 )
-from cbopt.metaio import fmt_float, fmt_rows, fmt_vector
+from cbopt.metaio import _mean, fmt_float, fmt_rows, fmt_vector
 from cbopt.objectives import MarketStats, neg_sharpe, row_variances
 
 MAX_D = 30
@@ -289,3 +289,20 @@ def test_frontier_svg_circles_match_the_per_point_formula_across_chunks():
     lines = "".join(_svg_pieces(cloud, intercept, slope, tangency)).splitlines()
     assert lines[6:6 + n] == old_frontier_svg_circles(cloud, intercept, tangency)
     assert lines[5].startswith("<text") and lines[6 + n].startswith("<line")
+
+
+@pytest.mark.parametrize(
+    "shape,axis,keepdims",
+    [
+        ((1,), None, False), ((7,), None, False), ((1000,), None, False),  # a step's distances
+        ((100, 20), 0, False), ((2, 10_000), 0, False),  # a run's center of mass
+        ((200, 8, 4), -2, True), ((3, 129, 5), -2, True),  # every run's center of mass
+        ((200, 8), -1, False), ((4, 1000), -1, False),  # every run's mean square
+    ],
+)
+def test_mean_has_the_bits_of_np_mean(shape, axis, keepdims):
+    x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape) * 1e3
+    got = np.asarray(_mean(x, axis=axis, keepdims=keepdims))
+    want = np.asarray(np.mean(x, axis=axis, keepdims=keepdims))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -25,6 +25,7 @@ from cbopt.errors import (
     IngestionError,
 )
 from cbopt.market import (
+    _MAX_DEMO_CELLS,
     ReturnsSeries,
     format_prices,
     format_stats,
@@ -92,6 +93,25 @@ def test_price_round_trip_is_exact():
     assert back.dates == series.dates
     assert back.asset_names == series.asset_names
     np.testing.assert_array_equal(back.prices, series.prices)
+
+
+class Allocated(Exception):
+    pass
+
+
+def test_a_demo_market_above_the_cap_is_rejected_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "arange", refuse)
+    d = math.isqrt(_MAX_DEMO_CELLS)  # 4096: d*d is the cap itself, so it is allowed
+    with pytest.raises(Allocated):
+        demo_market(d)
+    with pytest.raises(ConfigurationError, match=f"d={d + 1} assets needs {d + 1}x{d + 1}"):
+        demo_market(d + 1)
+    with pytest.raises(ConfigurationError, match="d=20000 assets"):
+        demo_market(np.int64(20_000))
 
 
 def test_normalize_prices_rebases_each_asset():
