@@ -29,7 +29,9 @@ import numpy as np
 from . import baseline, diagnostics, market, objectives, projections
 from .core import CboParams, NoiseMode, init_ensemble, run, write_trace_csv
 from .errors import CbOptError, ConfigurationError
-from .metaio import fmt_float, fmt_vector, parse_metadata, usable_cpus, write_metadata
+from .metaio import (
+    _fmt_2f_rows, fmt_float, fmt_vector, parse_metadata, usable_cpus, write_metadata,
+)
 
 
 # One row per config key: (key, caster, default, commands that read it, help).
@@ -403,9 +405,9 @@ _SVG_CHUNK = 8192
 def _svg_pieces(cloud, intercept, slope, tangency):
     """Minimal self-contained scatter of the sampled cloud plus the CML.
 
-    Pure text, no drawing dependency; coordinates are emitted with
-    deterministic formatting.  The text comes in pieces of at most
-    ``_SVG_CHUNK`` circles, so a large cloud is never held as one string.
+    Pure text, no drawing dependency; coordinates are emitted with ``.2f``
+    (the circles' by ``metaio._fmt_2f_rows``).  The text comes in pieces of
+    at most ``_SVG_CHUNK`` circles, so a large cloud is never one string.
     """
     width, height, pad = 640.0, 440.0, 50.0
     t_risk, t_ret = float(tangency[0]), float(tangency[1])
@@ -440,11 +442,10 @@ def _svg_pieces(cloud, intercept, slope, tangency):
         f'<text x="14" y="{height / 2:.0f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 14 {height / 2:.0f})">return</text>',
     ]) + "\n"
-    circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1.5" fill="#4477aa" fill-opacity="0.45"/>\n'
+    circle = b'<circle cx="', b'" cy="', b'" r="1.5" fill="#4477aa" fill-opacity="0.45"/>\n'
     for start in range(0, len(cloud), _SVG_CHUNK):
         part = slice(start, start + _SVG_CHUNK)
-        xs, ys = sx(cloud.risk[part]).tolist(), sy(cloud.ret[part]).tolist()
-        yield "".join(map(circle.format, xs, ys))
+        yield _fmt_2f_rows(circle, sx(cloud.risk[part]), sy(cloud.ret[part])).decode("ascii")
     y_at_hi = intercept + slope * x_hi
     # The star is centred on the tangency point as drawn, i.e. rounded.
     tx, ty = float(f"{sx(t_risk):.2f}"), float(f"{sy(t_ret):.2f}")

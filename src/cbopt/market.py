@@ -183,7 +183,8 @@ def parse_prices(text: str) -> PriceSeries:
 def format_prices(series: PriceSeries) -> str:
     """Serialize with full round-trip precision; inverse of parse_prices."""
     header = "date," + ",".join(series.asset_names) + "\n"
-    return header + _table_rows([np.asarray(series.dates), series.prices], 0, series.n_periods)
+    rows = _table_rows([np.asarray(series.dates), series.prices], 0, series.n_periods)
+    return header + rows.decode()
 
 
 def normalize_prices(series: PriceSeries, base: float = 100.0) -> PriceSeries:

@@ -12,10 +12,12 @@ other cell, and every tie or distance on the half-ulp boundary, gets
 ``repr``'s own text.  Every CSV table is rendered by :func:`_table_rows`,
 and every table file but the prices CSV is written by :func:`_write_csv`,
 which formats a large one in pieces on several forked processes
-(:func:`_pieces`).  The same row ranges (:func:`_row_ranges`) cut the
-numeric kernels' ``(N, d)`` arrays into cache-sized blocks
-(:func:`_blocks`), and :func:`_each_block` runs a kernel's blocks on
-short-lived threads, up to one per usable CPU, joined before it returns.
+(:func:`_pieces`); a piece stays bytes from the kernel to the file.
+:func:`_fmt_2f_rows` is the ``.2f`` kernel of the SVG's circles.  The same
+row ranges (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)``
+arrays into cache-sized blocks (:func:`_blocks`), and :func:`_each_block`
+runs a kernel's blocks on short-lived threads, up to one per usable CPU,
+joined before it returns.
 Every block keeps its operands and ufunc order, so the bits do not depend
 on the number of threads.  :func:`_row_sq`, the squared distance of each
 row to a center, is the kernel the solver's residuals, the sphere
@@ -81,7 +83,7 @@ def fmt_rows(block) -> list[str]:
     whole block at once by :func:`_fmt_block`.
     """
     block = np.asarray(block, dtype=float)
-    return _fmt_block(block).split("\n") if len(block) else []
+    return _fmt_block(block).decode("ascii").split("\n") if len(block) else []
 
 
 # Tables of the shortest round-trip kernel (_fmt_block).  10**k is exact in
@@ -122,9 +124,9 @@ def _cell_layouts():
 _MASKS, _TEXTS = _cell_layouts()
 
 
-def _fmt_block(block: np.ndarray) -> str:
-    """``"\\n".join(",".join(map(repr, row)) for row in block.tolist())``
-    for a 2-D float block, computed on whole arrays.
+def _fmt_block(block: np.ndarray) -> bytes:
+    """The ASCII bytes of ``"\\n".join(",".join(map(repr, row)) for row in
+    block.tolist())`` for a 2-D float block, computed on whole arrays.
 
     ``repr`` prints the shortest decimal that reads back as the same float
     and, of those, the nearest (Steele & White; Gay, "Correctly rounded
@@ -162,7 +164,7 @@ def _fmt_block(block: np.ndarray) -> str:
             cells[0, 0] = 0  # the first cell has no separator
         parts.append(cells.tobytes().translate(None, b"\0"))
     # Rows of no cells are empty lines.
-    return b"".join(parts).decode("ascii") if flat.size else "\n" * max(rows - 1, 0)
+    return b"".join(parts) if flat.size else b"\n" * max(rows - 1, 0)
 
 
 def _fmt_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -218,26 +220,69 @@ def _fmt_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _table_rows(cols, lo: int, hi: int) -> str:
-    """CSV lines for rows ``lo:hi``, each row taking its cells from the
-    arrays ``cols`` in turn.
+def _fmt_2f_rows(texts, *columns) -> bytes:
+    """``t0 + format(v1, ".2f") + t1 + ... + tk`` for each row, as ASCII
+    bytes: ``texts`` are k + 1 byte strings and ``columns`` k float arrays.
+
+    ``.2f`` prints 100 * v rounded half to even.  For 1 <= v < 10**4,
+    ``frexp`` gives v = m * 2**(e - 53), integer m < 2**53 and 1 <= e <= 14,
+    so 100 * m < 2**60 is exact in int64: its bits above s = 53 - e are
+    floor(100 * v) and the low s bits the remainder that decides the
+    rounding.  A cell is 8 bytes: the ``_PAIRS`` of the integer part, the
+    point, a gap and the hundredths, with zero bytes in the gap and for the
+    leading zeros; they are dropped.  A row with a cell outside that domain
+    (below 1, not finite, or rounding to 10**4) gets ``format``'s text.
+    """
+    literals = [t + b"\0" * (len(t) % 2) for t in texts]  # cells start on even bytes
+    row = b"".join(t + b"\0\0\0\0.\0\0\0" for t in literals[:-1]) + literals[-1]
+    out = np.tile(np.frombuffer(row, np.uint8), (len(columns[0]), 1))
+    ok = np.ones(len(out), bool)
+    for c, v in zip((np.cumsum([len(t) + 8 for t in literals[:-1]]) - 8).tolist(), columns):
+        fits = (v >= 1) & (v < 1e4)
+        f, e = np.frexp(np.where(fits, v, 1.0))
+        s = 53 - e.astype(np.int64)
+        m100 = (f * 2.0**53).astype(np.int64) * 100
+        n = m100 >> s
+        n += m100 - (n << s) + (n & 1) > np.left_shift(1, s - 1)  # half to even
+        fits &= n < 10**6
+        ok &= fits
+        n[~fits] = 100
+        whole = n // 100
+        out.view(np.uint16)[:, [c // 2, c // 2 + 1, c // 2 + 3]] = _PAIRS.take(
+            np.column_stack([whole // 100, whole % 100, n % 100]))
+        out[:, c:c + 3] *= whole[:, None] >= [1000, 100, 10]
+    parts, lo = [], 0
+    for i in np.flatnonzero(~ok).tolist():
+        cells = [format(float(col[i]), ".2f").encode() for col in columns]
+        parts += [out[lo:i].tobytes(), b"".join(itertools.chain(*zip(texts, cells), texts[-1:]))]
+        lo = i + 1
+    return b"".join(parts + [out[lo:].tobytes()]).translate(None, b"\0")
+
+
+def _table_rows(cols, lo: int, hi: int) -> bytes:
+    """CSV lines, as UTF-8 bytes, for rows ``lo:hi``, each row taking its
+    cells from the arrays ``cols`` in turn.
 
     A column of strings is written as it is, a boolean column as
-    ``true``/``false`` and any other column as floats with :func:`fmt_rows`
+    ``true``/``false`` and any other column as floats with :func:`_fmt_block`
     (a 2-D one gives several cells per row).  Adjacent float columns are
-    formatted as one block.
+    formatted as one block, and a table of floats only is one block's bytes.
     """
+    parts = [col[lo:hi] for col in cols]
+    if all(part.dtype.kind not in "Ub" for part in parts):
+        block = np.column_stack(parts).astype(float, copy=False)
+        return _fmt_block(block) + b"\n" if len(block) else b""
     cells = []
-    for kind, group in itertools.groupby((col[lo:hi] for col in cols), lambda c: c.dtype.kind):
+    for kind, group in itertools.groupby(parts, lambda c: c.dtype.kind):
         if kind == "U":
-            cells += [col.tolist() for col in group]
+            cells += [list(map(str.encode, col.tolist())) for col in group]
         elif kind == "b":
-            cells += [["true" if v else "false" for v in col.tolist()] for col in group]
+            cells += [[b"true" if v else b"false" for v in col.tolist()] for col in group]
         else:
-            cells.append(fmt_rows(np.column_stack(list(group))))
-    # The trailing "" ends the last row with a newline, without copying the
-    # text; a one-cell row joins to its own string, so it is not copied either.
-    return "\n".join(itertools.chain(map(",".join, zip(*cells)), [""]))
+            block = np.column_stack(list(group)).astype(float, copy=False)
+            cells.append(_fmt_block(block).split(b"\n") if len(block) else [])
+    # The trailing b"" ends the last row with a newline.
+    return b"\n".join(itertools.chain(map(b",".join, zip(*cells)), [b""]))
 
 
 def _write_csv(path, header: str, columns, workers: int = 1) -> None:
@@ -246,16 +291,16 @@ def _write_csv(path, header: str, columns, workers: int = 1) -> None:
 
     The rows are rendered in pieces of about ``_PIECE_CELLS`` float cells
     on up to ``workers`` processes (:func:`_pieces`, capped at the usable
-    CPUs); the bytes are the same for every ``workers``.  The header is
-    flushed before the first piece is drawn, so no forked child inherits
-    unwritten output.
+    CPUs); the bytes are the same for every ``workers``, and go to the file
+    as they are.  The header is flushed before the first piece is drawn,
+    so no forked child inherits unwritten output.
     """
     cols = [np.asarray(col) for col in columns]
     rows = min(len(col) for col in cols)
     row_cells = sum(math.prod(col.shape[1:]) for col in cols if col.dtype.kind not in "Ub")
     pieces = _pieces(rows, row_cells, lambda lo, hi: _table_rows(cols, lo, hi), workers)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         fh.flush()
         fh.writelines(pieces)
 
@@ -404,8 +449,8 @@ def _pieces(n_rows: int, row_cells: int, render, workers: int):
     ``min(workers, pieces, usable_cpus())``: process 0 is the caller and the
     others are forked children, so ``render`` may be any closure.  P is 1,
     and nothing forks, without ``os.fork`` or while other threads run.
-    ``render`` must be deterministic; the text is then the same for every
-    ``workers``.  The one caller, :func:`_write_csv`, flushes its file
+    ``render`` must return deterministic bytes; they are then the same for
+    every ``workers``.  The one caller, :func:`_write_csv`, flushes its file
     before drawing the first piece, so no child inherits unwritten output.
     """
     if not _is_int(workers) or workers < 1:
@@ -462,7 +507,7 @@ def _send_pieces(fd: int, bounds, render):
     try:
         with open(fd, "wb") as out:
             for lo, hi in bounds:
-                data = render(lo, hi).encode()
+                data = render(lo, hi)
                 out.write(len(data).to_bytes(8, "little"))
                 out.write(data)
         status = 0
@@ -470,9 +515,9 @@ def _send_pieces(fd: int, bounds, render):
         os._exit(status)
 
 
-def _receive_piece(reader) -> str:
+def _receive_piece(reader) -> bytes:
     size = int.from_bytes(_read_exact(reader, 8), "little")
-    return _read_exact(reader, size).decode()
+    return _read_exact(reader, size)
 
 
 def _read_exact(reader, n: int) -> bytes:

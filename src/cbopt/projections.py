@@ -131,10 +131,12 @@ class BoxProjector(Projector):
         self.lo = lo
         self.hi = hi
         self.dim = lo.shape[0]
+        self._unbounded = bool(np.all(lo == -np.inf) and np.all(hi == np.inf))
 
     def project_rows(self, vs) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
-        return np.clip(vs, self.lo, self.hi)
+        # The clip onto R^d gives the bits of a copy, -0.0 included.
+        return vs.copy() if self._unbounded else np.clip(vs, self.lo, self.hi)
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
         vs = _as_rows(vs, self.dim)

@@ -25,9 +25,9 @@ def reference(block) -> str:
 
 def assert_same_text(block):
     block = np.asarray(block, dtype=float)
-    got, want = _fmt_block(block), reference(block)
+    got, want = _fmt_block(block), reference(block).encode()
     if got != want:  # name the first differing cell, not a megabyte of text
-        pairs = zip(got.replace("\n", ",").split(","), want.replace("\n", ",").split(","))
+        pairs = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
         bad = [(g, w) for g, w in pairs if g != w]
         pytest.fail(f"{len(bad)} cells differ, first (got, repr): {bad[:3]}")
 

@@ -135,14 +135,14 @@ def test_trace_csv_bytes_do_not_depend_on_workers(tmp_path, forks, n, d):
 
 def fail_in_children(monkeypatch):
     parent = os.getpid()
-    real = metaio.fmt_rows
+    real = metaio._fmt_block
 
-    def fmt_rows(block):
+    def fmt_block(block):
         if os.getpid() != parent:
             raise RuntimeError("formatter failed in a child")
         return real(block)
 
-    monkeypatch.setattr(metaio, "fmt_rows", fmt_rows)
+    monkeypatch.setattr(metaio, "_fmt_block", fmt_block)
 
 
 def test_a_child_that_raises_makes_the_parent_raise(tmp_path, forks, monkeypatch):
@@ -172,7 +172,7 @@ def test_stopping_early_reaps_children_blocked_on_a_full_pipe(forks):
     block = cells(np.random.default_rng(5), (4 * PIECE_ROWS, D + 3))
 
     def render(lo, hi):
-        return "\n".join(metaio.fmt_rows(block[lo:hi])) + "\n"
+        return ("\n".join(metaio.fmt_rows(block[lo:hi])) + "\n").encode()
 
     pieces = metaio._pieces(len(block), D + 3, render, 3)
     assert next(pieces) == render(0, PIECE_ROWS)

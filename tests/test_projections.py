@@ -79,6 +79,17 @@ def test_box_infinite_bounds_is_identity():
     np.testing.assert_array_equal(p.project(v), v)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (np.full(3, -np.inf), np.full(3, np.inf)),  # unbounded: a copy, not a clip
+    (np.array([-np.inf, 0.0, -1.0]), np.full(3, np.inf)),  # half-infinite: clipped
+])
+def test_box_project_rows_has_the_bits_of_np_clip(lo, hi):
+    rows = np.array([[-0.0, 0.0, -0.0], [3.5, -0.0, -2.0], [-1e300, 5e-324, 0.5]])
+    got = box(lo, hi).project_rows(rows)
+    assert got.tobytes() == np.clip(rows, lo, hi).tobytes()
+    assert not np.shares_memory(got, rows)
+
+
 @settings(max_examples=150)
 @given(projector_and_vec())
 def test_idempotence(pv):
