@@ -268,6 +268,15 @@ def init_ensemble(
     (for the simplex that is the barycenter).  ``seed`` accepts anything
     ``numpy.random.default_rng`` does; it defaults to ``params.seed``.
     """
+    mean = _start_mean(dim, init_mean, init_std, projector, objective)
+    positions, values = _starts(
+        params, mean, init_std, projector, objective, [params.seed if seed is None else seed]
+    )
+    return Ensemble(positions[0], values[0], iteration=0)
+
+
+def _start_mean(dim: int, init_mean, init_std, projector, objective) -> np.ndarray:
+    """The checked start mean of :func:`init_ensemble`'s arguments."""
     if projector is None or objective is None:
         raise ConfigurationError("init_ensemble requires a projector and an objective")
     if projector.dim != dim:
@@ -281,16 +290,33 @@ def init_ensemble(
     mean = np.asarray(init_mean, dtype=float)
     if mean.shape != (dim,) or not _all_finite(mean):
         raise ConfigurationError(f"init_mean must be a finite {dim}-vector")
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    return mean
+
+
+def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
+    """Positions ``(R, N, d)`` and objective values ``(R, N)`` of R starts:
+    run r's rows are ``default_rng(seeds[r])``'s standard normals, times
+    ``init_std``, plus ``mean``.
+
+    All R·N rows are projected in one call, which gives the bits of one
+    call per run because the projection is row-wise.  Each run is then
+    evaluated by its own ``eval_many`` call, as a lone run would be: a
+    batched evaluation is a BLAS call of another shape, whose bits are not
+    the same.
+    """
+    raw = np.empty((len(seeds), params.n_particles, mean.shape[0]))
+    for r, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=raw[r])
     # init_std * z, then mean + that: the bits of the plain expression.
-    raw = rng.standard_normal((params.n_particles, dim))
     raw *= init_std
     raw += mean
-    positions = projector.project_rows(raw)
-    values = objective.eval_many(positions)
-    if not _all_finite(values):
-        raise NumericDomainError("non-finite objective value at iteration 0")
-    return Ensemble(positions, values, iteration=0)
+    positions = projector.project_rows(raw.reshape(-1, raw.shape[-1])).reshape(raw.shape)
+    values = np.empty(raw.shape[:-1])
+    for r, pos in enumerate(positions):
+        values[r] = objective.eval_many(pos)
+        if not _all_finite(values[r]):
+            raise NumericDomainError("non-finite objective value at iteration 0")
+    return positions, values
 
 
 def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:

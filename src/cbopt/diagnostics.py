@@ -34,9 +34,10 @@ from .core import (
     RunTrace,
     _advance,
     _pairwise_sq,
+    _start_mean,
+    _starts,
     consensus_point,
     draw_step_noise,
-    init_ensemble,
 )
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import _block_ranges, _is_int, _mean, _row_sq, _write_csv, fmt_float
@@ -203,7 +204,9 @@ def decay_experiment(
     ``runs`` independent seeded trajectories and compare them with the
     geometric envelope.
 
-    Each run draws its start and noise from its own spawned seed; all runs
+    Each run draws its start and noise from its own spawned seed, as
+    :func:`~cbopt.core.init_ensemble` would; the starts of all runs are
+    projected in one call, each run is evaluated on its own, all runs
     advance together, one batched step per iteration, and are summed in
     run-index order.  Each run's noise is drawn for a block of steps at a
     time (about ``_NOISE_CELLS`` values over all runs), which gives the bits
@@ -215,16 +218,11 @@ def decay_experiment(
         raise ConfigurationError("horizon must be a nonnegative integer")
     report = check_params(params)
     dim = projector.dim
-    if init_mean is None:
-        init_mean = projector.project(np.zeros(dim))
+    mean = _start_mean(dim, init_mean, init_std, projector, objective)
     seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(runs)]
-    starts = [
-        init_ensemble(dim, params, init_mean, init_std, projector, objective, seed=s)
-        for s, _ in seeds
-    ]
+    w0, values = _starts(params, mean, init_std, projector, objective, [s for s, _ in seeds])
+    ens = Ensemble(w0, values)
     rngs = [np.random.default_rng(s) for _, s in seeds]
-    w0 = np.stack([e.positions for e in starts])
-    ens = Ensemble(w0, np.stack([e.objective_values for e in starts]))
     step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else w0[0].size)
     block_steps = max(1, _NOISE_CELLS // step_cells)
     work = np.empty(w0.shape)

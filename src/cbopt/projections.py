@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import metaio
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _blocks, _each_block, _is_int, _row_sq, fmt_float, fmt_vector, parse_vector
+    _all_finite, _blocks, _each_block, _is_int, _row_ranges, _row_sq, fmt_float, fmt_vector,
+    parse_vector,
 )
 
 __all__ = [
@@ -83,30 +85,73 @@ class Projector:
 class SimplexProjector(Projector):
     """Probability simplex ``{w : sum(w) = 1, w >= 0}``.
 
-    Projection uses the descending-sort threshold rule: with ``u`` the
-    coordinates sorted descending and ``k`` the largest index such that
-    ``u_k - (sum_{j<=k} u_j - 1)/k > 0``, the projection is
-    ``max(v - theta, 0)`` where ``theta = (sum_{j<=k} u_j - 1)/k``.
-    Cost is O(d log d) per row.  The output is invariant under coordinate
-    permutation because only sorted values enter the threshold.
+    Projection uses the descending-sort threshold rule (Held, Wolfe &
+    Crowder 1974): with ``u`` the coordinates sorted descending, ``t_k =
+    (sum_{j<=k} u_j - 1)/k`` and ``k`` the largest index with ``u_k > t_k``,
+    the projection is ``max(v - t_k, 0)``.  Cost is O(d log d) per row.  The
+    output is invariant under coordinate permutation because only sorted
+    values enter the threshold.
+
+    Rows are projected in serial blocks of about ``_BLOCK_CELLS // 4``
+    cells, so the sort and cumsum scratch stays in cache; each row is one
+    sort and one sequential cumsum, so the bits do not depend on the block.
+    The rule's rounding error grows with the row's largest entry ``u_1``: a
+    row's sum stays within about ``d**2 * eps * |u_1|`` of 1.  From
+    ``|u_1| >= 2**53`` on, ``u_1 - 1`` is no longer exact and ``t_1`` can
+    round to ``u_1`` (or to ``u_1 - 2``), and huge entries can overflow the
+    partial sums.  Those rows, and any row whose threshold is not finite,
+    are projected again after subtracting their maximum, which leaves the
+    projection unchanged; ``k`` is then the last column before the first
+    with ``u_k <= t_k``, and their sum is within about ``d**2 * eps`` of 1.
     """
 
     def __init__(self, dim: int):
         if not _is_int(dim) or dim < 1:
             raise ConfigurationError("simplex dimension must be a positive integer")
         self.dim = int(dim)
+        self._ks = np.arange(1, self.dim + 1, dtype=float)
+
+    def _thresholds(self, v):
+        """Rows sorted descending, ``t = (cumsum - 1)/k``, and ``u > t``."""
+        u = np.sort(v, axis=1)[:, ::-1]
+        t = np.cumsum(u, axis=1)
+        t -= 1.0
+        t /= self._ks
+        return u, t, u > t
+
+    def _project_block(self, v, out):
+        u, t, valid = self._thresholds(v)
+        # t at the last valid column: its bits are (css - 1)/(k + 1).
+        theta = t[np.arange(len(v)), self.dim - 1 - valid[:, ::-1].argmax(axis=1)]
+        np.subtract(v, theta[:, None], out=out)
+        np.maximum(out, 0.0, out=out)
+        # Below 2**53, u_1 - 1 is exact, so column 0 is valid with a margin
+        # of 1; from there on it may fail, or pass with a margin of 2.  Those
+        # rows, and rows whose partial sums overflowed, are redone.
+        redo = np.abs(u[:, 0]) >= 2.0**53
+        redo |= np.isinf(theta)
+        if not np.count_nonzero(redo):
+            return
+        idx = np.flatnonzero(redo)
+        w = v[idx]
+        w -= w.max(axis=1, keepdims=True)
+        u, t, valid = self._thresholds(w)
+        k = np.logical_and.accumulate(valid, axis=1).sum(axis=1) - 1
+        out[idx] = np.maximum(w - t[np.arange(len(idx)), k][:, None], 0.0)
 
     def project_rows(self, vs) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
-        u = np.sort(vs, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1)
-        ks = np.arange(1, self.dim + 1, dtype=float)
-        valid = u - (css - 1.0) / ks > 0.0
-        # Column 0 is always valid (u_1 - (u_1 - 1) = 1), so the reversed
-        # argmax finds the last valid column.
-        k_idx = self.dim - 1 - np.argmax(valid[:, ::-1], axis=1)
-        theta = (css[np.arange(len(vs)), k_idx] - 1.0) / (k_idx + 1.0)
-        return np.maximum(vs - theta[:, None], 0.0)
+        out = np.empty(vs.shape)
+        cells = metaio._BLOCK_CELLS // 4
+        # Huge rows may overflow their partial sums or v - max(v); they are
+        # the rows _project_block redoes.
+        with np.errstate(over="ignore"):
+            if vs.size <= cells:
+                self._project_block(vs, out)
+            else:
+                for lo, hi in _row_ranges(len(vs), self.dim, cells):
+                    self._project_block(vs[lo:hi], out[lo:hi])
+        return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
