@@ -211,7 +211,8 @@ def _maybe_reference(cfg, objective, projector):
     if cfg["reference"] == "none":
         return None
     if isinstance(projector, projections.SimplexProjector) and projector.dim <= baseline.MAX_GRID_DIM:
-        return baseline.grid_search_simplex(objective, projector.dim, cfg["grid_step"])
+        with np.errstate(all="ignore"):  # the run that follows reports what is not finite
+            return baseline.grid_search_simplex(objective, projector.dim, cfg["grid_step"])
     return None
 
 

@@ -19,6 +19,10 @@ Noise modes:
 All randomness flows through numpy ``Generator`` streams seeded from one
 ``SeedSequence``, so runs are bit-reproducible for a given seed and do not
 depend on how the surrounding code schedules work.
+
+Arguments are validated at the public boundary; inside, every step of
+:func:`run`, :func:`cbo_step` and ``decay_experiment`` goes through one
+private kernel, :func:`_step`, which keeps only the guards a step can trip.
 """
 
 from __future__ import annotations
@@ -307,32 +311,34 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
     raw = np.empty((len(seeds), params.n_particles, mean.shape[0]))
     for r, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=raw[r])
-    # init_std * z, then mean + that: the bits of the plain expression.
-    raw *= init_std
-    raw += mean
-    positions = projector.project_rows(raw.reshape(-1, raw.shape[-1])).reshape(raw.shape)
-    values = np.empty(raw.shape[:-1])
-    for r, pos in enumerate(positions):
-        values[r] = objective.eval_many(pos)
-        if not _all_finite(values[r]):
-            raise NumericDomainError("non-finite objective value at iteration 0")
+    with np.errstate(all="ignore"):  # the scans below report what is not finite
+        # init_std * z, then mean + that: the bits of the plain expression.
+        raw *= init_std
+        raw += mean
+        positions = projector.project_rows(raw.reshape(-1, raw.shape[-1])).reshape(raw.shape)
+        values = np.empty(raw.shape[:-1])
+        for r, pos in enumerate(positions):
+            values[r] = objective.eval_many(pos)
+            if not _all_finite(values[r]):
+                raise NumericDomainError("non-finite objective value at iteration 0")
     return positions, values
 
 
-def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
+def consensus_point(ensemble: Ensemble, beta: float, *, _checked: bool = False) -> np.ndarray:
     """Boltzmann-weighted ensemble average with underflow-safe weights.
 
     Weights are ``exp(-beta * (L_i - min_j L_j))``: the best particle always
     has weight 1, so the normalizer is >= 1 for any beta.  ``beta = 0``
     yields the plain arithmetic mean.  The result is a convex combination
     of particle positions and therefore lies in their convex hull.  A
-    batched ensemble gives one ``(R, d)`` row per run.
+    batched ensemble gives one ``(R, d)`` row per run.  ``_checked=True``,
+    from the solver's loops, skips the checks of beta and the values.
     """
     beta = float(beta)
-    if not (beta >= 0) or not math.isfinite(beta):
+    if not _checked and (not (beta >= 0) or not math.isfinite(beta)):
         raise ConfigurationError("beta must be finite and >= 0")
     values = ensemble.objective_values
-    if not _all_finite(values):
+    if not _checked and not _all_finite(values):
         raise NumericDomainError("non-finite objective values in consensus computation")
     w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
     return np.matmul(w[..., None, :], ensemble.positions)[..., 0, :] / w.sum(-1)[..., None]
@@ -366,20 +372,8 @@ def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> np.ndarray:
     return values
 
 
-def _check_noise(ensemble: Ensemble, params: CboParams, eta: np.ndarray) -> None:
-    """Reject noise whose shape is not the one ``params.noise_mode`` draws:
-    noise of the other mode has another shape."""
-    shape = ensemble.positions.shape
-    expected = shape[:-2] + (shape[-1],) if params.noise_mode is NoiseMode.COMMON else shape
-    if eta.shape != expected:
-        raise ConfigurationError(
-            f"noise shape {eta.shape} does not match {expected} "
-            f"({params.noise_mode.value} noise)"
-        )
-
-
 def predictor_step(
-    ensemble: Ensemble, consensus: np.ndarray, params: CboParams, eta: np.ndarray
+    ensemble: Ensemble, consensus: np.ndarray, params: CboParams, eta: np.ndarray, *, _work=None
 ) -> np.ndarray:
     """Propose raw (unconstrained) positions for the next iterate.
 
@@ -390,14 +384,23 @@ def predictor_step(
 
     The expression is evaluated in row blocks (whole runs when batched),
     on every usable CPU, by in-place ufuncs with the same operands in the
-    same order, so the bits are those of the whole-array expression.
+    same order, so the bits are those of the whole-array expression.  The
+    step kernel passes its workspace ``_work`` (:func:`_step`): it checked
+    the arguments, and with a second block the first holds ``w_i - consensus``.
     """
-    consensus = np.asarray(consensus, dtype=float)
     pos = ensemble.positions
-    if consensus.shape != pos.shape[:-2] + (ensemble.dim,):
-        raise ConfigurationError("consensus point has the wrong dimension")
-    eta = np.asarray(eta)
-    _check_noise(ensemble, params, eta)
+    if _work is None:
+        consensus = np.asarray(consensus, dtype=float)
+        if consensus.shape != pos.shape[:-2] + (ensemble.dim,):
+            raise ConfigurationError("consensus point has the wrong dimension")
+        eta = np.asarray(eta)
+        mode = params.noise_mode  # noise of the other mode has another shape
+        shape = pos.shape[:-2] + pos.shape[-1:] if mode is NoiseMode.COMMON else pos.shape
+        if eta.shape != shape:
+            raise ConfigurationError(
+                f"noise shape {eta.shape} does not match {shape} ({mode.value} noise)"
+            )
+    ranges, dev, *sq = _work or _blocks(pos.shape)
     if pos.ndim == 3:  # one consensus row, and in COMMON mode one noise row, per run
         consensus = consensus[:, None, :]
         eta = eta if params.noise_mode is NoiseMode.INDEPENDENT else eta[:, None, :]
@@ -405,25 +408,25 @@ def predictor_step(
     spread = params.sigma * math.sqrt(params.h)
     out = np.empty(pos.shape)
 
-    def body(lo, hi, scratch):
-        w, new = pos[lo:hi], out[lo:hi]
-        dev = np.subtract(w, _part(consensus, lo, hi, pos.ndim), out=scratch[: hi - lo])
-        np.multiply(drift, dev, out=new)
+    def body(lo, hi, dev, sq=None):
+        w, new, d = pos[lo:hi], out[lo:hi], dev[: hi - lo]
+        if sq is None or len(ranges) > 1:  # else d holds the step's deviation
+            np.subtract(w, _part(consensus, lo, hi, pos.ndim), out=d)
+        np.multiply(drift, d, out=new)
         np.subtract(w, new, out=new)
-        np.multiply(spread, dev, out=dev)
-        np.multiply(dev, _part(eta, lo, hi, pos.ndim), out=dev)
-        np.add(new, dev, out=new)
+        t = np.multiply(spread, d, out=d if sq is None else sq[: hi - lo])
+        np.multiply(t, _part(eta, lo, hi, pos.ndim), out=t)
+        np.add(new, t, out=new)
 
-    ranges, scratch = _blocks(pos.shape)
-    _each_block(ranges, body, scratch)
+    _each_block(ranges, body, dev, *sq)
     return out
 
 
-def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None) -> np.ndarray:
+def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None, held=False) -> np.ndarray:
     """``||w_i - cons||`` for each row of ``(N, d)`` positions, or
     ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given; ``blocks``
-    is ``metaio._blocks(pos.shape)``, made once per run (:func:`metaio._row_sq`)."""
-    sq = _row_sq(pos, cons, eta, blocks)
+    and ``held`` are :func:`metaio._row_sq`'s, and ``blocks`` is made once per run."""
+    sq = _row_sq(pos, cons, eta, blocks, held)
     return np.sqrt(sq, out=sq)
 
 
@@ -439,34 +442,25 @@ def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRe
                        com, a_n, b_n)
 
 
-def _advance(
-    ensemble: Ensemble,
-    consensus: np.ndarray,
-    params: CboParams,
-    projector,
-    objective,
-    rng,
-    eta: np.ndarray | None = None,
-) -> tuple[Ensemble, np.ndarray]:
-    """predictor -> corrector -> cache refresh; returns the noise used.
-
-    For R stacked runs ``rng`` holds one Generator per run, and projection
-    and evaluation see all rows as one ``(R*N, d)`` block.  A caller that
-    drew this step's noise ``eta`` already passes it, and ``rng`` is not used.
-    """
-    if eta is None:
-        eta = draw_step_noise(params, ensemble.dim, rng)
-    raw = predictor_step(ensemble, consensus, params, eta)
-    positions = projector.project_rows(raw.reshape(-1, ensemble.dim))
-    values = objective.eval_many(positions)
+def _step(ensemble: Ensemble, cons, eta, params: CboParams, projector, objective, work):
+    """Predictor -> corrector -> evaluation of arrays the caller checked or made:
+    this step's ``cons`` and ``eta``, and the ``metaio._blocks`` ``work`` in which
+    it just computed the distances to ``cons``.  R stacked runs are projected and
+    evaluated as one ``(R*N, d)`` block.  The guards: the scans of the projection's
+    input and output (a duck-typed projector may return NaN) and of the values."""
+    raw = predictor_step(ensemble, cons, params, eta, _work=work)
+    positions = np.asarray(projector.project_rows(raw.reshape(-1, raw.shape[-1])), dtype=float)
+    values = np.asarray(objective.eval_many(positions), dtype=float)
     if not _all_finite(values):
         raise NumericDomainError(
             f"non-finite objective value at iteration {ensemble.iteration + 1}"
         )
-    advanced = Ensemble(
-        positions.reshape(raw.shape), values.reshape(raw.shape[:-1]), ensemble.iteration + 1
-    )
-    return advanced, eta
+    if not _all_finite(positions):
+        raise NumericDomainError("ensemble positions must be finite")
+    stepped = object.__new__(Ensemble)  # checked above, so without __post_init__
+    stepped.positions, stepped.objective_values, stepped.iteration = (
+        positions.reshape(raw.shape), values.reshape(raw.shape[:-1]), ensemble.iteration + 1)
+    return stepped
 
 
 def cbo_step(
@@ -485,13 +479,14 @@ def cbo_step(
     if ensemble.positions.ndim != 2:
         raise ConfigurationError("a step record needs a single (N, d) run")
     cons = consensus_point(ensemble, params.beta)
-    dist = _dev_norms(ensemble.positions, cons, _blocks(ensemble.positions.shape))
+    work = _blocks(ensemble.positions.shape)  # one step: a kept deviation would not pay
+    dist = _dev_norms(ensemble.positions, cons, work)
     record = _record(
         ensemble, cons, float(dist.max()), float(ensemble.objective_values.min()),
         float(_mean(dist)), 0.0,
     )
-    advanced, _ = _advance(ensemble, cons, params, projector, objective, rng)
-    return advanced, record
+    eta = draw_step_noise(params, ensemble.dim, rng)
+    return _step(ensemble, cons, eta, params, projector, objective, work), record
 
 
 def run(
@@ -517,31 +512,33 @@ def run(
         projector.dim, params, init_mean, init_std, projector, objective, seed=init_ss
     )
     rng = np.random.default_rng(noise_ss)
-    blocks = _blocks(ensemble.positions.shape)
+    work = _blocks(ensemble.positions.shape, keep=True)
 
     trace = RunTrace()
     a_sum = 0.0
     b_sum = 0.0
     best_value = math.inf
     best_point = ensemble.positions[0].copy()
-    while True:
-        cons = consensus_point(ensemble, params.beta)
-        pos = ensemble.positions
-        dist = _dev_norms(pos, cons, blocks)
-        residual = float(dist.max())
-        a_sum += float(_mean(dist))
-        i = int(np.argmin(ensemble.objective_values))
-        current = float(ensemble.objective_values[i])
-        if current < best_value:
-            best_value = current
-            best_point = ensemble.positions[i].copy()
-        stop = (residual < params.residual_tol) or (ensemble.iteration >= params.max_iters)
-        if ensemble.iteration % thin == 0 or stop:
-            trace.records.append(_record(ensemble, cons, residual, current, a_sum, b_sum))
-        if stop:
-            break
-        ensemble, eta = _advance(ensemble, cons, params, projector, objective, rng)
-        b_sum += float(_mean(_dev_norms(pos, cons, blocks, eta)))
+    with np.errstate(all="ignore"):  # the steps' guards report what is not finite
+        while True:
+            cons = consensus_point(ensemble, params.beta, _checked=True)
+            pos = ensemble.positions
+            dist = _dev_norms(pos, cons, work)
+            residual = float(dist.max())
+            a_sum += float(_mean(dist))
+            i = int(np.argmin(ensemble.objective_values))
+            current = float(ensemble.objective_values[i])
+            if current < best_value:
+                best_value = current
+                best_point = ensemble.positions[i].copy()
+            stop = (residual < params.residual_tol) or (ensemble.iteration >= params.max_iters)
+            if ensemble.iteration % thin == 0 or stop:
+                trace.records.append(_record(ensemble, cons, residual, current, a_sum, b_sum))
+            if stop:
+                break
+            eta = draw_step_noise(params, ensemble.dim, rng)
+            ensemble = _step(ensemble, cons, eta, params, projector, objective, work)
+            b_sum += float(_mean(_dev_norms(pos, cons, work, eta, held=True)))
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

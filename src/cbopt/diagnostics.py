@@ -32,15 +32,15 @@ from .core import (
     Ensemble,
     NoiseMode,
     RunTrace,
-    _advance,
     _pairwise_sq,
     _start_mean,
     _starts,
+    _step,
     consensus_point,
     draw_step_noise,
 )
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _block_ranges, _is_int, _mean, _row_sq, _write_csv, fmt_float
+from .metaio import _blocks, _is_int, _mean, _row_sq, _write_csv, fmt_float
 
 __all__ = [
     "Verdict",
@@ -225,21 +225,22 @@ def decay_experiment(
     rngs = [np.random.default_rng(s) for _, s in seeds]
     step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else w0[0].size)
     block_steps = max(1, _NOISE_CELLS // step_cells)
-    work = np.empty(w0.shape)
-    blocks = (_block_ranges(w0.shape), work)  # work is _row_sq's scratch too
+    squares = np.empty(w0.shape)
+    work = _blocks(w0.shape, keep=True)  # the steps' scratch, made once
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
-    for n in range(horizon + 1):
-        pos = ens.positions
-        run_pair[:, n] = _pairwise_sq(pos, _mean(pos, axis=-2, keepdims=True), work)
-        cons = consensus_point(ens, params.beta)
-        run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :], blocks=blocks), axis=-1)
-        if n < horizon:
-            if n % block_steps == 0:
-                steps = min(block_steps, horizon - n)
-                block = draw_step_noise(params, dim, rngs, steps=steps)
-            eta = block[:, n % block_steps]
-            ens, _ = _advance(ens, cons, params, projector, objective, rngs, eta)
+    with np.errstate(all="ignore"):  # the steps' guards report what is not finite
+        for n in range(horizon + 1):
+            pos = ens.positions
+            run_pair[:, n] = _pairwise_sq(pos, _mean(pos, axis=-2, keepdims=True), squares)
+            cons = consensus_point(ens, params.beta, _checked=True)
+            run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :], blocks=work), axis=-1)
+            if n < horizon:
+                if n % block_steps == 0:
+                    steps = min(block_steps, horizon - n)
+                    block = draw_step_noise(params, dim, rngs, steps=steps)
+                eta = block[:, n % block_steps]
+                ens = _step(ens, cons, eta, params, projector, objective, work)
 
     # np.add.accumulate adds the runs one at a time in run-index order, so
     # the totals do not depend on how the runs were batched.

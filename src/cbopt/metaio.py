@@ -321,16 +321,18 @@ def _block_ranges(shape) -> list[tuple[int, int]]:
     return _row_ranges(shape[0], row_cells, _BLOCK_CELLS)
 
 
-def _blocks(shape) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _blocks(shape, keep: bool = False) -> tuple:
     """:func:`_block_ranges` of ``shape`` and one uninitialized scratch array
-    that holds the largest of them.
+    that holds the largest of them; with ``keep``, and rows that form one
+    block, a second one, so that :func:`_row_sq` keeps its deviation.
 
     Elementwise ufuncs give the same bits on a block as on the whole array,
     and every row sum stays one reduction over one contiguous row, so a
     kernel's output does not depend on the block size.
     """
     ranges = _block_ranges(shape)
-    return ranges, np.empty((ranges[0][1], *shape[1:]))
+    count = 2 if keep and len(ranges) == 1 else 1
+    return ranges, *(np.empty((ranges[0][1], *shape[1:])) for _ in range(count))
 
 
 def _each_block(ranges, body, *scratch) -> None:
@@ -390,7 +392,7 @@ def _part(operand: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
     return operand[lo:hi] if operand.ndim == ndim else operand
 
 
-def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None, blocks=None) -> np.ndarray:
+def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None, blocks=None, held=False):
     """``(t * t).sum(axis=-1)`` for ``t = rows - center``, times ``eta`` if given.
 
     ``rows`` is ``(m, d)`` or ``(R, N, d)``; ``center`` and ``eta`` either
@@ -398,19 +400,23 @@ def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None, blocks=None) -> np.n
     one squared row distance: the sums are computed in the row blocks of
     ``blocks`` (``_blocks(rows.shape)`` unless given; its scratch may be any
     array holding the largest block), on every usable CPU and without a
-    full-size temporary, with the bits of the whole-array expression.
-    """
+    full-size temporary, with the bits of the whole-array expression.  A second
+    scratch array takes the products; ``held=True`` reuses ``t`` in the first."""
     out = np.empty(rows.shape[:-1])
-    ranges, scratch = _blocks(rows.shape) if blocks is None else blocks
+    ranges, scratch, *sq = _blocks(rows.shape) if blocks is None else blocks
+    held = held and bool(sq) and len(ranges) == 1
 
-    def body(lo, hi, buf):
-        t = np.subtract(rows[lo:hi], _part(center, lo, hi, rows.ndim), out=buf[: hi - lo])
+    def body(lo, hi, buf, sq=None):
+        t = buf[: hi - lo]
+        if not held:
+            np.subtract(rows[lo:hi], _part(center, lo, hi, rows.ndim), out=t)
+        p = np.multiply(t, t if eta is None else _part(eta, lo, hi, rows.ndim),
+                        out=t if sq is None else sq[: hi - lo])
         if eta is not None:
-            np.multiply(t, _part(eta, lo, hi, rows.ndim), out=t)
-        np.multiply(t, t, out=t)
-        t.sum(axis=-1, out=out[lo:hi])
+            np.multiply(p, p, out=p)
+        p.sum(axis=-1, out=out[lo:hi])
 
-    _each_block(ranges, body, scratch)
+    _each_block(ranges, body, scratch, *sq)
     return out
 
 

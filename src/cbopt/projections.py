@@ -109,20 +109,26 @@ class SimplexProjector(Projector):
         if not _is_int(dim) or dim < 1:
             raise ConfigurationError("simplex dimension must be a positive integer")
         self.dim = int(dim)
-        self._ks = np.arange(1, self.dim + 1, dtype=float)
+        self._ks = np.ones((0, self.dim))  # rows of k = 1..d, grown to the largest block
 
     def _thresholds(self, v):
-        """Rows sorted descending, ``t = (cumsum - 1)/k``, and ``u > t``."""
-        u = np.sort(v, axis=1)[:, ::-1]
+        """Rows sorted descending as ``-sort(-v)`` (a tie may swap only +-0, which
+        no bit of ``t`` sees), ``t = (cumsum - 1)/k`` by a tile of k, and ``u > t``."""
+        ks = self._ks
+        if len(ks) < len(v):
+            ks = self._ks = np.tile(np.arange(1, self.dim + 1, dtype=float), (len(v), 1))
+        u = np.negative(v)
+        u.sort(axis=1)
+        np.negative(u, out=u)
         t = np.cumsum(u, axis=1)
         t -= 1.0
-        t /= self._ks
+        t /= ks[: len(v)]
         return u, t, u > t
 
     def _project_block(self, v, out):
         u, t, valid = self._thresholds(v)
         # t at the last valid column: its bits are (css - 1)/(k + 1).
-        theta = t[np.arange(len(v)), self.dim - 1 - valid[:, ::-1].argmax(axis=1)]
+        theta = t.reshape(-1)[np.arange(self.dim - 1, t.size, self.dim) - valid[:, ::-1].argmax(1)]
         np.subtract(v, theta[:, None], out=out)
         np.maximum(out, 0.0, out=out)
         # Below 2**53, u_1 - 1 is exact, so column 0 is valid with a margin
@@ -146,11 +152,8 @@ class SimplexProjector(Projector):
         # Huge rows may overflow their partial sums or v - max(v); they are
         # the rows _project_block redoes.
         with np.errstate(over="ignore"):
-            if vs.size <= cells:
-                self._project_block(vs, out)
-            else:
-                for lo, hi in _row_ranges(len(vs), self.dim, cells):
-                    self._project_block(vs[lo:hi], out[lo:hi])
+            for lo, hi in _row_ranges(len(vs), self.dim, cells):
+                self._project_block(vs[lo:hi], out[lo:hi])
         return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
