@@ -38,7 +38,6 @@ from .diagnostics import (
     decay_experiment,
     error_trace,
     laplace_sweep,
-    pairwise_step_factor,
     summary_text,
 )
 from .errors import (
@@ -59,7 +58,6 @@ from .market import (
     format_prices,
     format_stats,
     log_returns,
-    normalize_prices,
     parse_prices,
     parse_stats,
     sample_frontier,

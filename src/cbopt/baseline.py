@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .metaio import _is_int, fmt_float, fmt_vector
+from .errors import ConfigurationError, NumericDomainError
+from .metaio import _all_finite, _is_int, fmt_float, fmt_vector
 
 __all__ = [
     "ReferenceSolution",
@@ -98,14 +98,20 @@ def grid_search_simplex(objective, d: int, step: float) -> ReferenceSolution:
     """Exhaustively minimize over the simplex lattice.
 
     Enforces d <= 4 (the lattice grows combinatorially).  Ties are broken
-    toward the lexicographically smallest weight vector.  Points are
-    evaluated in fixed chunks.
+    toward the lexicographically smallest weight vector, and a value that
+    is not finite is never the minimum; a lattice with no finite value
+    raises ``NumericDomainError``.  Points are evaluated in fixed chunks.
     """
     if not _is_int(d) or not (1 <= d <= MAX_GRID_DIM):
         raise ConfigurationError(f"grid search supports 1 <= d <= {MAX_GRID_DIM}")
     points = simplex_lattice(d, step)
     chunks = range(0, len(points), _EVAL_CHUNK)
     values = np.concatenate([objective.eval_many(points[i : i + _EVAL_CHUNK]) for i in chunks])
+    if not _all_finite(values):  # argmin would stop at the first NaN
+        finite = np.isfinite(values)
+        if not finite.any():
+            raise NumericDomainError(f"no point of the step-{step!r} lattice has a finite value")
+        values = np.where(finite, values, np.inf)
     # argmin returns the first minimum; rows are in lexicographic order.
     idx = int(np.argmin(values))
     return ReferenceSolution(

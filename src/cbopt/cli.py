@@ -30,7 +30,8 @@ from . import baseline, diagnostics, market, objectives, projections
 from .core import CboParams, NoiseMode, init_ensemble, run, write_trace_csv
 from .errors import CbOptError, ConfigurationError
 from .metaio import (
-    _fmt_2f_rows, fmt_float, fmt_vector, parse_metadata, usable_cpus, write_metadata,
+    _fmt_2f_rows, fmt_float, fmt_vector, format_metadata, parse_metadata, usable_cpus,
+    write_metadata,
 )
 
 
@@ -263,20 +264,18 @@ def cmd_solve(args) -> int:
     _write_meta(out, "solve", cfg, objective, projector, reference)
 
     final = result.trace.records[-1]
-    weights, value = fmt_vector(result.point), fmt_float(objective(result.point))
+    value = objective(result.point)
     result_items = {
-        "weights": weights,
+        "weights": result.point,
         "value": value,
         "iterations": final.iteration,
-        "residual": fmt_float(final.residual),
-        "best_value": fmt_float(result.best_value),
-        "best_weights": fmt_vector(result.best_point),
+        "residual": final.residual,
+        "best_value": result.best_value,
+        "best_weights": result.best_point,
     }
     if stats is not None:
         ret, risk, sharpe = objectives.sharpe_components(stats, result.point)
-        result_items.update(
-            {"ret": fmt_float(ret), "risk": fmt_float(risk), "sharpe": fmt_float(sharpe)}
-        )
+        result_items.update({"ret": ret, "risk": risk, "sharpe": sharpe})
     write_metadata(out / "result.txt", result_items)
 
     summary = diagnostics.summary_text(report)
@@ -284,7 +283,7 @@ def cmd_solve(args) -> int:
         fh.write(summary)
 
     print(summary, end="")
-    print(f"solve: weights=[{weights}] value={value}")
+    print(f"solve: weights=[{fmt_vector(result.point)}] value={fmt_float(value)}")
     print(f"solve: stopped at iteration {final.iteration} residual={fmt_float(final.residual)}")
     return 0
 
@@ -306,22 +305,11 @@ def cmd_frontier(args) -> int:
     intercept, slope = market.cml(stats.rf, (risk, ret))
 
     write_metadata(
-        out / "tangency.txt",
-        {
-            "weights": fmt_vector(result.point),
-            "ret": fmt_float(ret),
-            "risk": fmt_float(risk),
-            "sharpe": fmt_float(sharpe),
-        },
+        out / "tangency.txt", {"weights": result.point, "ret": ret, "risk": risk, "sharpe": sharpe}
     )
     write_metadata(
         out / "cml.txt",
-        {
-            "intercept": fmt_float(intercept),
-            "slope": fmt_float(slope),
-            "tangency_risk": fmt_float(risk),
-            "tangency_ret": fmt_float(ret),
-        },
+        {"intercept": intercept, "slope": slope, "tangency_risk": risk, "tangency_ret": ret},
     )
     _write_meta(out, "frontier", cfg, objective, projector)
 
@@ -380,17 +368,13 @@ def cmd_diagnose(args) -> int:
             result.trace.iterations(), errors, out / "diag_error_trace.csv"
         )
 
-    summary_lines = [diagnostics.summary_text(report).rstrip("\n")]
-    summary_lines.append(f"decay_applicable={'true' if decay.applicable else 'false'}")
-    summary_lines.append(
-        f"decay_pairwise_within_bound={'true' if bool(decay.pairwise_ok.all()) else 'false'}"
-    )
-    summary_lines.append(
-        f"decay_consensus_within_bound={'true' if bool(decay.consensus_ok.all()) else 'false'}"
-    )
-    summary_lines.append("consensus_bound_indexing=ensemble_size")
-    summary_lines.append(f"laplace_final_gap={fmt_float(points[-1].gap)}")
-    summary = "\n".join(summary_lines) + "\n"
+    summary = diagnostics.summary_text(report) + format_metadata({
+        "decay_applicable": decay.applicable,
+        "decay_pairwise_within_bound": decay.pairwise_ok.all(),
+        "decay_consensus_within_bound": decay.consensus_ok.all(),
+        "consensus_bound_indexing": "ensemble_size",
+        "laplace_final_gap": points[-1].gap,
+    })
     with open(out / "diagnose_summary.txt", "w", newline="\n") as fh:
         fh.write(summary)
 

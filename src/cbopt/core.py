@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _block_ranges, _blocks, _each_block, _is_int, _mean, _part, _row_sq,
+    _all_finite, _blocks, _each_block, _is_int, _mean, _part, _row_sq,
     _write_csv, fmt_float,
 )
 
@@ -235,23 +235,12 @@ def mean_pairwise_sq(positions):
 def _pairwise_sq(pos: np.ndarray, com: np.ndarray, work: np.ndarray | None = None):
     """:func:`mean_pairwise_sq` of validated positions with center of mass ``com``.
 
-    The squares are summed over each run's whole ``N*d`` block at once, so
-    this reduction is not cut into row blocks; for one run larger than a
-    block the squares themselves are computed in row blocks
-    (:func:`metaio._each_block`).  ``work``, an array of ``pos.shape``,
-    takes the squares instead of a fresh one.
+    The squares are summed over each run's whole ``N*d`` block at once.
+    ``work``, an array of ``pos.shape``, takes the squares instead of a
+    fresh one.
     """
-    if pos.ndim == 2 and len(ranges := _block_ranges(pos.shape)) > 1:
-        dev = np.empty(pos.shape) if work is None else work
-
-        def squares(lo, hi):
-            t = np.subtract(pos[lo:hi], com, out=dev[lo:hi])
-            np.multiply(t, t, out=t)
-
-        _each_block(ranges, squares)
-    else:
-        dev = np.subtract(pos, com, out=work)
-        np.multiply(dev, dev, out=dev)
+    dev = np.subtract(pos, com, out=work)
+    np.multiply(dev, dev, out=dev)
     sq = dev.reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
     out = 2.0 * sq / (pos.shape[-2] - 1)
     return float(out) if pos.ndim == 2 else out

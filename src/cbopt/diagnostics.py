@@ -40,13 +40,12 @@ from .core import (
     draw_step_noise,
 )
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _blocks, _is_int, _mean, _row_sq, _write_csv, fmt_float
+from .metaio import _blocks, _is_int, _mean, _row_sq, _write_csv, fmt_float, format_metadata
 
 __all__ = [
     "Verdict",
     "ParamReport",
     "check_params",
-    "pairwise_step_factor",
     "summary_text",
     "DecayReport",
     "decay_experiment",
@@ -115,28 +114,20 @@ def check_params(params: CboParams) -> ParamReport:
     return ParamReport(m, cond_sigma, cond_drift, cond_h, verdict)
 
 
-def pairwise_step_factor(params: CboParams) -> float:
-    """Exact one-step factor for the pre-projection pairwise second moment
-    under shared per-step noise: ``1 - 2*lam*h + lam**2*h**2 + sigma**2*h``.
-    A square that overflows raises ``NumericDomainError``."""
-    lam, sig, h = params.lam, params.sigma, params.h
-    return 1.0 - 2.0 * lam * h + _square("lam", lam) * _square("h", h) + _square("sigma", sig) * h
-
-
 def summary_text(report: ParamReport) -> str:
     """Human-readable condition summary with explicit warnings."""
-    lines = [
-        f"m={fmt_float(report.m)}",
-        f"condition_sigma_positive={'true' if report.cond_sigma else 'false'}",
-        f"condition_drift_dominates={'true' if report.cond_drift else 'false'}",
-        f"condition_step_small={'true' if report.cond_h else 'false'}",
-        f"verdict={report.verdict.value}",
-    ]
+    text = format_metadata({
+        "m": report.m,
+        "condition_sigma_positive": report.cond_sigma,
+        "condition_drift_dominates": report.cond_drift,
+        "condition_step_small": report.cond_h,
+        "verdict": report.verdict.value,
+    })
     if report.verdict is Verdict.BOUNDARY:
-        lines.append(
+        text += (
             "WARNING Boundary: 2λ = σ² exactly; decay rate "
             f"m={fmt_float(report.m)} is not positive and the geometric "
-            "contraction envelope does not apply."
+            "contraction envelope does not apply.\n"
         )
     elif report.verdict is Verdict.VIOLATED:
         failed = []
@@ -146,10 +137,8 @@ def summary_text(report: ParamReport) -> str:
             failed.append("2λ > σ²")
         if not report.cond_h:
             failed.append("h < (2λ - σ²)/λ²")
-        lines.append(
-            "WARNING Violated: failed condition(s): " + "; ".join(failed) + "."
-        )
-    return "\n".join(lines) + "\n"
+        text += "WARNING Violated: failed condition(s): " + "; ".join(failed) + ".\n"
+    return text
 
 
 @dataclass

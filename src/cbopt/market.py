@@ -24,9 +24,7 @@ from .errors import (
     EstimationError,
     IngestionError,
 )
-from .metaio import (
-    _is_int, _table_rows, _write_csv, fmt_float, fmt_vector, parse_metadata, parse_vector,
-)
+from .metaio import _is_int, _table_rows, _write_csv, format_metadata, parse_metadata, parse_vector
 from .objectives import DEFAULT_VAR_FLOOR, MarketStats, _check_names, _sharpe_rows
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "FrontierCloud",
     "parse_prices",
     "format_prices",
-    "normalize_prices",
     "log_returns",
     "estimate_stats",
     "synthetic_market",
@@ -187,17 +184,6 @@ def format_prices(series: PriceSeries) -> str:
     return header + rows.decode()
 
 
-def normalize_prices(series: PriceSeries, base: float = 100.0) -> PriceSeries:
-    """Rescale each asset so its first price equals ``base``.
-
-    Log returns are invariant under this per-asset rescaling.
-    """
-    if not (float(base) > 0) or not math.isfinite(base):
-        raise ConfigurationError("base price must be finite and positive")
-    scale = base / series.prices[0]
-    return PriceSeries(series.dates, series.prices * scale, series.asset_names)
-
-
 def log_returns(series: PriceSeries) -> ReturnsSeries:
     """Per-period log returns ``ln(p_t / p_{t-1})``, shape (T-1, d)."""
     rets = np.log(series.prices[1:] / series.prices[:-1])
@@ -237,21 +223,12 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def synthetic_market(
-    seed: int,
-    d: int,
-    n_periods: int,
-    mu_true,
-    sigma_true,
-    asset_names=None,
-    start_date: str = "2019-01-01",
-    base_price: float = 100.0,
-) -> PriceSeries:
+def synthetic_market(seed: int, d: int, n_periods: int, mu_true, sigma_true) -> PriceSeries:
     """Geometric random-walk prices with Gaussian log increments.
 
-    All assets start at ``base_price`` and evolve by i.i.d. increments with
-    mean ``mu_true`` and covariance ``sigma_true`` (PSD; singular is fine).
-    Deterministic for a given seed.
+    Assets ``A1`` .. ``Ad`` all start at 100 on 2019-01-01 and evolve by
+    daily i.i.d. increments with mean ``mu_true`` and covariance
+    ``sigma_true`` (PSD; singular is fine).  Deterministic for a given seed.
     """
     if not _is_int(d) or d < 1:
         raise ConfigurationError("d must be a positive integer")
@@ -270,11 +247,10 @@ def synthetic_market(
     shocks = rng.standard_normal((n_periods - 1, d))
     increments = mu + shocks @ factor.T
     log_levels = np.cumsum(increments, axis=0)
-    prices = np.vstack([np.full(d, float(base_price)), base_price * np.exp(log_levels)])
-    day0 = _dt.date.fromisoformat(start_date)
+    prices = np.vstack([np.full(d, 100.0), 100.0 * np.exp(log_levels)])
+    day0 = _dt.date(2019, 1, 1)
     dates = tuple((day0 + _dt.timedelta(days=i)).isoformat() for i in range(n_periods))
-    names = _check_names(asset_names) if asset_names else tuple(f"A{i+1}" for i in range(d))
-    return PriceSeries(dates, prices, names)
+    return PriceSeries(dates, prices, tuple(f"A{i+1}" for i in range(d)))
 
 
 def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,12 +271,7 @@ def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
-def sample_frontier(
-    stats: MarketStats,
-    n_samples: int,
-    seed: int,
-    var_floor: float = DEFAULT_VAR_FLOOR,
-) -> FrontierCloud:
+def sample_frontier(stats: MarketStats, n_samples: int, seed: int) -> FrontierCloud:
     """Score ``n_samples`` uniformly distributed simplex portfolios.
 
     Uniformity comes from normalized i.i.d. exponential spacings.  Sampling
@@ -320,7 +291,7 @@ def sample_frontier(
         spacings = np.random.default_rng(child).standard_exponential((size, d))
         parts.append(spacings / spacings.sum(axis=1, keepdims=True))
     weights = np.vstack(parts)
-    return FrontierCloud(weights, *_sharpe_rows(stats, weights, var_floor))
+    return FrontierCloud(weights, *_sharpe_rows(stats, weights, DEFAULT_VAR_FLOOR))
 
 
 def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:
@@ -351,14 +322,10 @@ def write_frontier_csv(cloud: FrontierCloud, path, workers: int = 1) -> None:
 
 def format_stats(stats: MarketStats) -> str:
     """Structured text block: dimension, rf, names, mu, row-major sigma."""
-    items = [
-        f"d={stats.dim}",
-        f"rf={fmt_float(stats.rf)}",
-        f"names={' '.join(stats.asset_names)}",
-        f"mu={fmt_vector(stats.mu)}",
-        f"sigma={fmt_vector(stats.sigma.reshape(-1))}",
-    ]
-    return "\n".join(items) + "\n"
+    return format_metadata({
+        "d": stats.dim, "rf": stats.rf, "names": " ".join(stats.asset_names),
+        "mu": stats.mu, "sigma": stats.sigma.reshape(-1),
+    })
 
 
 def parse_stats(text: str) -> MarketStats:

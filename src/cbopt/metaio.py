@@ -540,16 +540,18 @@ def parse_vector(text: str):
 def format_metadata(items: dict) -> str:
     """Render an ordered mapping as ``key=value`` lines.
 
-    Floats get round-trip precision; sequences become space-joined floats;
-    everything else is rendered with ``str``.
+    The one renderer of every ``key=value`` artifact: booleans (numpy's
+    too) become ``true``/``false``, floats get round-trip precision,
+    sequences become space-joined floats, and everything else is rendered
+    with ``str``.
     """
     lines = []
     for key, value in items.items():
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             rendered = "true" if value else "false"
-        elif isinstance(value, float):
+        elif isinstance(value, (float, np.floating)):
             rendered = fmt_float(value)
-        elif isinstance(value, (list, tuple)) or type(value).__name__ == "ndarray":
+        elif isinstance(value, (list, tuple, np.ndarray)):
             rendered = fmt_vector(value)
         else:
             rendered = str(value)

@@ -205,9 +205,7 @@ def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Obje
     )
 
 
-def sharpe_components(
-    stats: MarketStats, w, var_floor: float = DEFAULT_VAR_FLOOR
-) -> tuple[float, float, float]:
+def sharpe_components(stats: MarketStats, w) -> tuple[float, float, float]:
     """Return ``(ret, risk, sharpe)`` for one portfolio.
 
     ``ret = w'mu``, ``risk = sqrt(w'Sigma w)``, ``sharpe = (ret - rf)/risk``.
@@ -215,4 +213,4 @@ def sharpe_components(
     w = np.asarray(w, dtype=float)
     if w.shape != (stats.dim,):
         raise ConfigurationError(f"expected a {stats.dim}-vector, got shape {w.shape}")
-    return tuple(float(v[0]) for v in _sharpe_rows(stats, w[None], var_floor))
+    return tuple(float(v[0]) for v in _sharpe_rows(stats, w[None], DEFAULT_VAR_FLOOR))

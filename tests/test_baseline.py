@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from cbopt import (
     Objective,
     grid_search_simplex,
     neg_sharpe,
+    rastrigin,
     simplex_lattice,
     sphere,
 )
-from cbopt.errors import ConfigurationError
+from cbopt.errors import ConfigurationError, NumericDomainError
 
 
 def test_lattice_small_case_in_lexicographic_order():
@@ -80,6 +82,29 @@ def test_grid_search_breaks_ties_lexicographically():
     flat = Objective(lambda w: 1.0, "flat")
     best = grid_search_simplex(flat, 3, step=0.5)
     np.testing.assert_array_equal(best.weights, [0.0, 0.0, 1.0])
+
+
+def test_a_value_that_is_not_finite_is_never_the_minimum():
+    # Scaled by 1e-320, every lattice point but the anchor overflows to a
+    # NaN; np.argmin alone would stop at the first one, [0, 1].
+    with np.errstate(all="ignore"):
+        best = grid_search_simplex(rastrigin(np.array([0.5, 0.5]), 1e-320), 2, 0.01)
+    np.testing.assert_array_equal(best.weights, [0.5, 0.5])
+    assert best.value == 0.0
+    left_nan = Objective(lambda w: math.nan if w[0] < 0.2 else float(w @ w), "left-nan")
+    best = grid_search_simplex(left_nan, 2, 0.01)
+    np.testing.assert_array_equal(best.weights, [0.5, 0.5])
+    assert best.value == 0.5
+    # -inf is skipped too, and the first finite tie still wins.
+    flat = Objective(lambda w: -math.inf if w[0] < 0.5 else 1.0, "flat-right")
+    best = grid_search_simplex(flat, 2, 0.25)
+    np.testing.assert_array_equal(best.weights, [0.5, 0.5])
+    assert best.value == 1.0
+
+
+def test_a_lattice_with_no_finite_value_is_a_domain_error():
+    with pytest.raises(NumericDomainError, match="step-0.25 lattice has a finite value"):
+        grid_search_simplex(Objective(lambda w: math.nan, "nan"), 3, 0.25)
 
 
 def test_grid_search_dimension_guard():

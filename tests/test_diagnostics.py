@@ -22,7 +22,6 @@ from cbopt import (
 from cbopt.diagnostics import (
     Verdict,
     error_trace,
-    pairwise_step_factor,
     summary_text,
     write_error_csv,
     write_laplace_csv,
@@ -88,22 +87,11 @@ def test_rate_identity_holds_for_any_parameters(lam, sigma, h):
     assert abs(report.m - expected) <= 1e-15 * max(1.0, abs(expected))
 
 
-def test_pairwise_step_factor_reference_value():
-    # 1 - 0.2 + 0.01 + 0.025
-    assert pairwise_step_factor(params(lam=1.0, sigma=0.5, h=0.1)) == pytest.approx(
-        0.835, abs=1e-15
-    )
-
-
 def test_squares_that_overflow_are_a_domain_error():
     for kw in ({"lam": 1e308}, {"sigma": 1e200}, {"lam": 1e200, "sigma": 0.0}):
         p = params(**kw)
         with pytest.raises(NumericDomainError, match="overflows"):
             check_params(p)
-        with pytest.raises(NumericDomainError, match="overflows"):
-            pairwise_step_factor(p)
-    with pytest.raises(NumericDomainError, match=r"h\*\*2 overflows"):
-        pairwise_step_factor(params(h=1e200))
     # Python's ** (libm pow) and x * x differ in the last bit for some
     # doubles; m keeps the bits of **.
     rng = np.random.default_rng(5)

@@ -29,7 +29,6 @@ from cbopt.market import (
     ReturnsSeries,
     format_prices,
     format_stats,
-    normalize_prices,
     parse_prices,
     parse_stats,
     write_frontier_csv,
@@ -112,18 +111,6 @@ def test_a_demo_market_above_the_cap_is_rejected_before_allocating(monkeypatch):
         demo_market(d + 1)
     with pytest.raises(ConfigurationError, match="d=20000 assets"):
         demo_market(np.int64(20_000))
-
-
-def test_normalize_prices_rebases_each_asset():
-    series = parse_prices(GOOD)
-    normed = normalize_prices(series, base=100.0)
-    np.testing.assert_allclose(normed.prices[0], [100.0, 100.0], rtol=1e-15)
-    # per-asset rescaling cannot change log returns
-    np.testing.assert_allclose(
-        log_returns(normed).returns, log_returns(series).returns, atol=1e-14
-    )
-    with pytest.raises(ConfigurationError):
-        normalize_prices(series, base=0.0)
 
 
 # ------------------------------------------------------------------ returns

@@ -227,18 +227,25 @@ def test_row_sq(monkeypatch, cpus, started, block, tail, eta_shape):
         assert_same_bits(after, before)
 
 
-def test_pairwise_squares(cells, cpus, started):
-    pos = values((cells, 0), (23, 11))
+@pytest.mark.parametrize("block, shape", [
+    pytest.param(None, (100, 6000), id="default"),  # five row blocks at the default size
+    *[pytest.param(cells, (23, 11), id=str(cells)) for cells in CELLS],
+])
+def test_pairwise_squares_are_one_whole_array_pass(monkeypatch, cpus, started, block, shape):
+    # The squares are elementwise and summed in one reduction per run, so
+    # they take no row blocks and start no thread, whatever the array's size.
+    if block is not None:
+        monkeypatch.setattr(metaio, "_BLOCK_CELLS", block)
+    cpus(3)
+    pos = values((metaio._BLOCK_CELLS, 0), shape)
     com = pos.mean(axis=0)
     before = pos.copy()
-    work = np.empty(pos.shape)
-    serial, threaded = serial_and_threaded(
-        cpus, started, lambda: (core._pairwise_sq(pos, com), core._pairwise_sq(pos, com, work),
-                                core.mean_pairwise_sq(pos)))
-    for s, t in zip(serial, threaded):
-        assert_same_bits(t, s)
-        assert_same_bits(t, pairwise_reference(pos, com))
+    want = pairwise_reference(pos, com)
+    for got in (core._pairwise_sq(pos, com), core._pairwise_sq(pos, com, np.empty(shape)),
+                core.mean_pairwise_sq(pos)):
+        assert_same_bits(got, want)
     assert_same_bits(pos, before)
+    assert started == []
 
 
 def test_fewer_than_four_blocks_start_no_thread(cpus, started):
