@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _all_finite, _is_int, fmt_float, fmt_vector
+from .metaio import _all_finite, _is_int
 
 __all__ = [
     "ReferenceSolution",
@@ -39,15 +39,14 @@ class ReferenceSolution:
     meta: dict = field(default_factory=dict)
 
     def to_metadata(self) -> dict:
+        """The ``reference_*`` entries of run metadata, as raw values for
+        :func:`~cbopt.metaio.format_metadata` to render."""
         out = {
             "reference_method": self.method,
-            "reference_value": fmt_float(self.value),
-            "reference_weights": fmt_vector(self.weights),
+            "reference_value": self.value,
+            "reference_weights": self.weights,
         }
-        for key, val in self.meta.items():
-            out[f"reference_{key}"] = (
-                fmt_float(val) if isinstance(val, float) else str(val)
-            )
+        out.update((f"reference_{key}", val) for key, val in self.meta.items())
         return out
 
 

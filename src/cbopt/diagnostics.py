@@ -32,6 +32,7 @@ from .core import (
     Ensemble,
     NoiseMode,
     RunTrace,
+    _center_of_mass,
     _pairwise_sq,
     _start_mean,
     _starts,
@@ -221,7 +222,7 @@ def decay_experiment(
     with np.errstate(all="ignore"):  # the steps' guards report what is not finite
         for n in range(horizon + 1):
             pos = ens.positions
-            run_pair[:, n] = _pairwise_sq(pos, _mean(pos, axis=-2, keepdims=True), squares)
+            run_pair[:, n] = _pairwise_sq(pos, _center_of_mass(pos), squares)
             cons = consensus_point(ens, params.beta, _checked=True)
             run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :], blocks=work), axis=-1)
             if n < horizon:

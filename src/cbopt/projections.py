@@ -103,6 +103,17 @@ class SimplexProjector(Projector):
     are projected again after subtracting their maximum, which leaves the
     projection unchanged; ``k`` is then the last column before the first
     with ``u_k <= t_k``, and their sum is within about ``d**2 * eps`` of 1.
+
+    Rows shorter than ``metaio._SHORT_ROW`` (8 values, one cache line) are
+    dominated by numpy's per-row loops, not by arithmetic: at (1600, 4) the
+    sort, cumsum and reversed ``argmax`` take about 160 of the block's
+    210-240 us.  A block of at least ``16 * d**2`` such rows is projected
+    column by column instead (:meth:`_column_thresholds`), with the same
+    bits: a cumsum is sequential either way, and a sort is the same
+    multiset in the same order.  Below that count, the column path's calls,
+    about d**2 of them, cost more than the loops they replace (the crossover
+    measured for d = 3..7); rows of 8 or more values keep the row path,
+    since at (10000, 20) strided column passes were slower.
     """
 
     def __init__(self, dim: int):
@@ -110,6 +121,9 @@ class SimplexProjector(Projector):
             raise ConfigurationError("simplex dimension must be a positive integer")
         self.dim = int(dim)
         self._ks = np.ones((0, self.dim))  # rows of k = 1..d, grown to the largest block
+        self._k_col = np.arange(1.0, self.dim + 1)[:, None]  # k = 1..d as a column
+        # Blocks of at least this many rows take _column_thresholds; None: none do.
+        self._column_rows = 16 * self.dim**2 if self.dim < metaio._SHORT_ROW else None
 
     def _thresholds(self, v):
         """Rows sorted descending as ``-sort(-v)`` (a tie may swap only +-0, which
@@ -125,16 +139,52 @@ class SimplexProjector(Projector):
         t /= ks[: len(v)]
         return u, t, u > t
 
+    def _column_thresholds(self, v, out):
+        """:meth:`_thresholds` of rows shorter than ``_SHORT_ROW`` as column
+        operations on their ``(d, m)`` transpose, with no per-row loop: an
+        insertion network of compare-exchanges (``maximum``/``minimum``) sorts the
+        columns descending, the same multiset in the same order, and each
+        partial sum, threshold and ``u > t`` is one call over all rows.  Writes
+        ``max(v - theta, 0)`` to ``out`` and returns ``theta`` and ``u_1``."""
+        d = self.dim
+        vt = np.array(v.T)
+        cols, spare = list(vt.copy()), np.empty(len(v))
+        for i in range(1, d):
+            for j in range(i, 0, -1):
+                hi, lo = cols[j - 1], cols[j]
+                np.maximum(hi, lo, out=spare)
+                np.minimum(hi, lo, out=lo)
+                cols[j - 1], spare = spare, hi
+        t = np.empty(vt.shape)
+        t[0] = cols[0]
+        for k in range(1, d):
+            np.add(t[k - 1], cols[k], out=t[k])
+        t -= 1.0
+        t /= self._k_col
+        # t at the last valid column; column 0 fails only in rows that are redone.
+        theta = t[0]
+        for k in range(1, d):
+            theta = np.where(cols[k] > t[k], t[k], theta)
+        vt -= theta
+        np.maximum(vt, 0.0, out=vt)
+        out[...] = vt.T
+        return theta, cols[0]
+
     def _project_block(self, v, out):
-        u, t, valid = self._thresholds(v)
-        # t at the last valid column: its bits are (css - 1)/(k + 1).
-        theta = t.reshape(-1)[np.arange(self.dim - 1, t.size, self.dim) - valid[:, ::-1].argmax(1)]
-        np.subtract(v, theta[:, None], out=out)
-        np.maximum(out, 0.0, out=out)
+        if self._column_rows is not None and len(v) >= self._column_rows:
+            theta, top = self._column_thresholds(v, out)
+        else:
+            u, t, valid = self._thresholds(v)
+            # t at the last valid column: its bits are (css - 1)/(k + 1).
+            theta = t.reshape(-1)[np.arange(self.dim - 1, t.size, self.dim)
+                                  - valid[:, ::-1].argmax(1)]
+            np.subtract(v, theta[:, None], out=out)
+            np.maximum(out, 0.0, out=out)
+            top = u[:, 0]
         # Below 2**53, u_1 - 1 is exact, so column 0 is valid with a margin
         # of 1; from there on it may fail, or pass with a margin of 2.  Those
         # rows, and rows whose partial sums overflowed, are redone.
-        redo = np.abs(u[:, 0]) >= 2.0**53
+        redo = np.abs(top) >= 2.0**53
         redo |= np.isinf(theta)
         if not np.count_nonzero(redo):
             return
@@ -170,8 +220,8 @@ class BoxProjector(Projector):
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ConfigurationError("box bounds must be two vectors of equal length")
+        if lo.ndim != 1 or lo.shape != hi.shape or not lo.size:
+            raise ConfigurationError("box bounds must be two nonempty vectors of equal length")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
             raise ConfigurationError("box bounds must not be NaN")
         if not np.all(lo <= hi):
@@ -204,8 +254,8 @@ class BallProjector(Projector):
 
     def __init__(self, center, radius: float):
         center = np.asarray(center, dtype=float)
-        if center.ndim != 1 or not np.all(np.isfinite(center)):
-            raise ConfigurationError("ball center must be a finite vector")
+        if center.ndim != 1 or not center.size or not np.all(np.isfinite(center)):
+            raise ConfigurationError("ball center must be a nonempty finite vector")
         radius = float(radius)
         if not (radius > 0) or not np.isfinite(radius):
             raise ConfigurationError("ball radius must be finite and positive")

@@ -13,6 +13,7 @@ from cbopt import (
     sphere,
 )
 from cbopt.errors import ConfigurationError, NumericDomainError
+from cbopt.metaio import format_metadata
 
 
 def test_lattice_small_case_in_lexicographic_order():
@@ -135,7 +136,11 @@ def test_reference_metadata_is_flat_text():
         "reference_step",
         "reference_points",
     }
-    assert all(isinstance(v, str) for v in meta.values())
+    # The lines the metadata file has always held for this reference.
+    assert format_metadata(meta) == (
+        "reference_method=grid\nreference_value=0.5\nreference_weights=0.5 0.5\n"
+        "reference_step=0.5\nreference_points=3\n"
+    )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -238,6 +238,16 @@ def test_projector_dimension_mismatch_is_an_error(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("solve", "box:,"), ("solve", "ball:,1"), ("diagnose", "box:,"),
+])
+def test_a_zero_dimension_box_or_ball_is_one_error_line(tmp_path, capsys, command, spec):
+    assert main([command, "--objective", "sphere", "--dim", "0", "--projector", spec,
+                 "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "nonempty" in lines[0]
+
+
 def test_solve_on_a_box_with_explicit_projector(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--objective", "sphere", "--dim", "2",

@@ -195,6 +195,12 @@ def test_invalid_inputs():
         box(np.array([np.nan]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("make", [lambda: box([], []), lambda: ball([], 1.0)])
+def test_a_box_or_ball_of_dimension_zero_is_rejected(make):
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        make()
+
+
 def test_textual_descriptions_round_trip():
     for proj in (
         simplex(4),
