@@ -91,9 +91,9 @@ def _cast(key: str, raw: str, caster):
 
 
 def _read_text(path) -> str:
-    """A UTF-8 input file's text; a decode failure names the file."""
+    """A UTF-8 input file's text, less any byte-order mark; a decode failure names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
 

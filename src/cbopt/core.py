@@ -20,9 +20,10 @@ All randomness flows through numpy ``Generator`` streams seeded from one
 ``SeedSequence``, so runs are bit-reproducible for a given seed and do not
 depend on how the surrounding code schedules work.
 
-Arguments are validated at the public boundary; inside, every step of
+An :class:`Ensemble` is checked once, when it is made, so every ensemble
+is finite and nothing that takes one re-checks it.  Every step of
 :func:`run`, :func:`cbo_step` and ``decay_experiment`` goes through one
-private kernel, :func:`_step`, which keeps only the guards a step can trip.
+private kernel, :func:`_step`, which returns a new, so checked, ``Ensemble``.
 """
 
 from __future__ import annotations
@@ -115,12 +116,13 @@ class CboParams:
             raise ConfigurationError("residual_tol must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ensemble:
     """Particle ensemble with a coherent objective-value cache.
 
     Positions are ``(N, d)``, or ``(R, N, d)`` for R runs stepped together;
-    objective values drop the last axis.
+    objective values drop the last axis.  Construction checks the shapes,
+    then that the values (naming ``iteration``) and the positions are finite.
     """
 
     positions: np.ndarray
@@ -134,10 +136,12 @@ class Ensemble:
             raise ConfigurationError("positions must be (N, d) or (R, N, d) with N >= 2")
         if vals.shape != pos.shape[:-1]:
             raise ConfigurationError("objective_values must have one entry per particle")
+        if not _all_finite(vals):
+            raise NumericDomainError(f"non-finite objective value at iteration {self.iteration}")
         if not _all_finite(pos):
             raise NumericDomainError("ensemble positions must be finite")
-        self.positions = pos
-        self.objective_values = vals
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "objective_values", vals)
 
     @property
     def dim(self) -> int:
@@ -317,7 +321,7 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
     raw = np.empty((len(seeds), params.n_particles, mean.shape[0]))
     for r, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=raw[r])
-    with np.errstate(all="ignore"):  # the scans below report what is not finite
+    with np.errstate(all="ignore"):  # the projection and Ensemble report what is not finite
         # init_std * z, then mean + that: the bits of the plain expression.
         raw *= init_std
         raw += mean
@@ -325,27 +329,22 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
         values = np.empty(raw.shape[:-1])
         for r, pos in enumerate(positions):
             values[r] = objective.eval_many(pos)
-            if not _all_finite(values[r]):
-                raise NumericDomainError("non-finite objective value at iteration 0")
     return positions, values
 
 
-def consensus_point(ensemble: Ensemble, beta: float, *, _checked: bool = False) -> np.ndarray:
+def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
     """Boltzmann-weighted ensemble average with underflow-safe weights.
 
     Weights are ``exp(-beta * (L_i - min_j L_j))``: the best particle always
     has weight 1, so the normalizer is >= 1 for any beta.  ``beta = 0``
     yields the plain arithmetic mean.  The result is a convex combination
     of particle positions and therefore lies in their convex hull.  A
-    batched ensemble gives one ``(R, d)`` row per run.  ``_checked=True``,
-    from the solver's loops, skips the checks of beta and the values.
+    batched ensemble gives one ``(R, d)`` row per run.
     """
     beta = float(beta)
-    if not _checked and (not (beta >= 0) or not math.isfinite(beta)):
+    if not (beta >= 0) or not math.isfinite(beta):
         raise ConfigurationError("beta must be finite and >= 0")
     values = ensemble.objective_values
-    if not _checked and not _all_finite(values):
-        raise NumericDomainError("non-finite objective values in consensus computation")
     w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
     return np.matmul(w[..., None, :], ensemble.positions)[..., 0, :] / w.sum(-1)[..., None]
 
@@ -391,21 +390,20 @@ def predictor_step(
     The expression is evaluated in row blocks (whole runs when batched),
     on every usable CPU, by in-place ufuncs with the same operands in the
     same order, so the bits are those of the whole-array expression.  The
-    step kernel passes its workspace ``_work`` (:func:`_step`): it checked
-    the arguments, and with a second block the first holds ``w_i - consensus``.
+    step kernel passes its ``metaio._blocks`` workspace ``_work``
+    (:func:`_step`); with a second block the first holds ``w_i - consensus``.
     """
     pos = ensemble.positions
-    if _work is None:
-        consensus = np.asarray(consensus, dtype=float)
-        if consensus.shape != pos.shape[:-2] + (ensemble.dim,):
-            raise ConfigurationError("consensus point has the wrong dimension")
-        eta = np.asarray(eta)
-        mode = params.noise_mode  # noise of the other mode has another shape
-        shape = pos.shape[:-2] + pos.shape[-1:] if mode is NoiseMode.COMMON else pos.shape
-        if eta.shape != shape:
-            raise ConfigurationError(
-                f"noise shape {eta.shape} does not match {shape} ({mode.value} noise)"
-            )
+    consensus = np.asarray(consensus, dtype=float)
+    if consensus.shape != pos.shape[:-2] + (ensemble.dim,):
+        raise ConfigurationError("consensus point has the wrong dimension")
+    eta = np.asarray(eta)
+    mode = params.noise_mode  # noise of the other mode has another shape
+    shape = pos.shape[:-2] + pos.shape[-1:] if mode is NoiseMode.COMMON else pos.shape
+    if eta.shape != shape:
+        raise ConfigurationError(
+            f"noise shape {eta.shape} does not match {shape} ({mode.value} noise)"
+        )
     ranges, dev, *sq = _work or _blocks(pos.shape)
     if pos.ndim == 3:  # one consensus row, and in COMMON mode one noise row, per run
         consensus = consensus[:, None, :]
@@ -449,24 +447,17 @@ def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRe
 
 
 def _step(ensemble: Ensemble, cons, eta, params: CboParams, projector, objective, work):
-    """Predictor -> corrector -> evaluation of arrays the caller checked or made:
-    this step's ``cons`` and ``eta``, and the ``metaio._blocks`` ``work`` in which
-    it just computed the distances to ``cons``.  R stacked runs are projected and
-    evaluated as one ``(R*N, d)`` block.  The guards: the scans of the projection's
-    input and output (a duck-typed projector may return NaN) and of the values."""
+    """Predictor -> corrector -> evaluation, with this step's ``cons`` and
+    ``eta`` and the ``metaio._blocks`` ``work`` in which the caller just
+    computed the distances to ``cons``.  R stacked runs are projected and
+    evaluated as one ``(R*N, d)`` block.  The projector scans its input (a
+    predictor overflow), and the new :class:`Ensemble` checks the values and
+    the positions (a duck-typed projector may return NaN)."""
     raw = predictor_step(ensemble, cons, params, eta, _work=work)
-    positions = np.asarray(projector.project_rows(raw.reshape(-1, raw.shape[-1])), dtype=float)
-    values = np.asarray(objective.eval_many(positions), dtype=float)
-    if not _all_finite(values):
-        raise NumericDomainError(
-            f"non-finite objective value at iteration {ensemble.iteration + 1}"
-        )
-    if not _all_finite(positions):
-        raise NumericDomainError("ensemble positions must be finite")
-    stepped = object.__new__(Ensemble)  # checked above, so without __post_init__
-    stepped.positions, stepped.objective_values, stepped.iteration = (
-        positions.reshape(raw.shape), values.reshape(raw.shape[:-1]), ensemble.iteration + 1)
-    return stepped
+    positions = projector.project_rows(raw.reshape(-1, raw.shape[-1]))
+    values = objective.eval_many(positions)
+    return Ensemble(np.reshape(positions, raw.shape), np.reshape(values, raw.shape[:-1]),
+                    ensemble.iteration + 1)
 
 
 def cbo_step(
@@ -525,9 +516,9 @@ def run(
     b_sum = 0.0
     best_value = math.inf
     best_point = ensemble.positions[0].copy()
-    with np.errstate(all="ignore"):  # the steps' guards report what is not finite
+    with np.errstate(all="ignore"):  # the steps' checks report what is not finite
         while True:
-            cons = consensus_point(ensemble, params.beta, _checked=True)
+            cons = consensus_point(ensemble, params.beta)
             pos = ensemble.positions
             dist = _dev_norms(pos, cons, work)
             residual = float(dist.max())

@@ -219,11 +219,11 @@ def decay_experiment(
     work = _blocks(w0.shape, keep=True)  # the steps' scratch, made once
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
-    with np.errstate(all="ignore"):  # the steps' guards report what is not finite
+    with np.errstate(all="ignore"):  # the steps' checks report what is not finite
         for n in range(horizon + 1):
             pos = ens.positions
             run_pair[:, n] = _pairwise_sq(pos, _center_of_mass(pos), squares)
-            cons = consensus_point(ens, params.beta, _checked=True)
+            cons = consensus_point(ens, params.beta)
             run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :], blocks=work), axis=-1)
             if n < horizon:
                 if n % block_steps == 0:

@@ -25,7 +25,7 @@ from .errors import (
     IngestionError,
 )
 from .metaio import _is_int, _table_rows, _write_csv, format_metadata, parse_metadata, parse_vector
-from .objectives import DEFAULT_VAR_FLOOR, MarketStats, _check_names, _sharpe_rows
+from .objectives import MarketStats, _check_names, _sharpe_rows
 
 __all__ = [
     "PriceSeries",
@@ -186,7 +186,8 @@ def format_prices(series: PriceSeries) -> str:
 
 def log_returns(series: PriceSeries) -> ReturnsSeries:
     """Per-period log returns ``ln(p_t / p_{t-1})``, shape (T-1, d)."""
-    rets = np.log(series.prices[1:] / series.prices[:-1])
+    with np.errstate(over="ignore", divide="ignore"):  # ReturnsSeries reports a non-finite one
+        rets = np.log(series.prices[1:] / series.prices[:-1])
     return ReturnsSeries(rets, series.asset_names)
 
 
@@ -291,7 +292,7 @@ def sample_frontier(stats: MarketStats, n_samples: int, seed: int) -> FrontierCl
         spacings = np.random.default_rng(child).standard_exponential((size, d))
         parts.append(spacings / spacings.sum(axis=1, keepdims=True))
     weights = np.vstack(parts)
-    return FrontierCloud(weights, *_sharpe_rows(stats, weights, DEFAULT_VAR_FLOOR))
+    return FrontierCloud(weights, *_sharpe_rows(stats, weights))
 
 
 def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:

@@ -178,30 +178,28 @@ def row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarr
     return var
 
 
-def _sharpe_rows(stats: MarketStats, rows: np.ndarray, var_floor: float):
+def _sharpe_rows(stats: MarketStats, rows: np.ndarray):
     """``(ret, risk, sharpe)`` arrays for the rows of an ``(m, d)`` block.
 
     The one Sharpe scorer: :func:`neg_sharpe`, :func:`sharpe_components`
     and ``market.sample_frontier`` all score through it.
     """
     ret = rows @ stats.mu
-    risk = np.sqrt(row_variances(rows, stats.sigma, var_floor))
+    risk = np.sqrt(row_variances(rows, stats.sigma, DEFAULT_VAR_FLOOR))
     return ret, risk, (ret - stats.rf) / risk
 
 
-def neg_sharpe(stats: MarketStats, var_floor: float = DEFAULT_VAR_FLOOR) -> Objective:
+def neg_sharpe(stats: MarketStats) -> Objective:
     """Negated Sharpe ratio ``-(w'mu - rf)/sqrt(w'Sigma w)``.
 
     Minimizing this over the simplex maximizes the portfolio's excess
     return per unit risk.  Evaluation raises ``DegeneratePortfolioError``
-    whenever the portfolio variance drops below ``var_floor``.
+    whenever the portfolio variance drops below ``DEFAULT_VAR_FLOOR``.
     """
-    if not (float(var_floor) > 0):
-        raise ConfigurationError("var_floor must be positive")
     return Objective(
         None,
         f"neg_sharpe:d={stats.dim};rf={fmt_float(stats.rf)}",
-        batch=lambda rows: -_sharpe_rows(stats, rows, var_floor)[2],
+        batch=lambda rows: -_sharpe_rows(stats, rows)[2],
     )
 
 
@@ -213,4 +211,4 @@ def sharpe_components(stats: MarketStats, w) -> tuple[float, float, float]:
     w = np.asarray(w, dtype=float)
     if w.shape != (stats.dim,):
         raise ConfigurationError(f"expected a {stats.dim}-vector, got shape {w.shape}")
-    return tuple(float(v[0]) for v in _sharpe_rows(stats, w[None], DEFAULT_VAR_FLOOR))
+    return tuple(float(v[0]) for v in _sharpe_rows(stats, w[None]))

@@ -1,4 +1,5 @@
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,17 @@ def test_ingest_reports_the_offending_row(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("first, second", [("1e-308", "1e308"), ("1e308", "1e-308")])
+def test_a_price_ratio_out_of_range_is_one_error_line(tmp_path, capsys, first, second):
+    # The ratio overflows, or underflows to 0 and its log is -inf.
+    bad = tmp_path / "prices.csv"
+    bad.write_text(f"date,A\n2020-01-01,{first}\n2020-01-02,{second}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ingest", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: returns must be finite\n"
+
+
 def test_sharpe_objective_requires_stats(tmp_path, capsys):
     assert main(["solve", "--out", str(tmp_path)]) == 1
     assert "--stats" in capsys.readouterr().err
@@ -404,6 +416,30 @@ def test_non_utf8_input_file_is_an_error_line_naming_it(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["config", "prices", "stats"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, kind):
+    # Some Windows tools start a UTF-8 file with U+FEFF; the files must read
+    # as they do without it.
+    inputs = tmp_path / "in"
+    make_inputs(inputs)
+    text = {"config": "seed=5\nassets=2\nrows=30\n",
+            "prices": (inputs / "prices.csv").read_text(),
+            "stats": (inputs / "stats.txt").read_text()}[kind]
+    artifact = {"config": "prices.csv", "prices": "stats.txt", "stats": "result.txt"}[kind]
+    got = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / f"{name}_{kind}.txt"
+        path.write_text(prefix + text, encoding="utf-8")
+        out = tmp_path / name
+        argv = {"config": ["synth", "--config", str(path)],
+                "prices": ["ingest", str(path)],
+                "stats": ["solve", "--stats", str(path), "--particles", "10",
+                          "--max-iters", "5"]}[kind]
+        assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        got.append((out / artifact).read_bytes())
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("betas", ["10,1", "-1,2", ","])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,23 @@ def test_ensemble_validation():
         Ensemble(np.zeros((2, 3)), np.zeros(3))  # value count mismatch
     with pytest.raises(NumericDomainError):
         Ensemble(np.array([[0.0, np.inf], [0.0, 0.0]]), np.zeros(2))
+
+
+@pytest.mark.parametrize("iteration", [0, 7])
+def test_ensemble_rejects_non_finite_values_naming_the_iteration(iteration):
+    message = f"^non-finite objective value at iteration {iteration}$"
+    with pytest.raises(NumericDomainError, match=message):
+        Ensemble(np.zeros((2, 1)), np.array([0.0, np.nan]), iteration)
+    # The values are checked before the positions.
+    with pytest.raises(NumericDomainError, match="objective value"):
+        Ensemble(np.full((2, 1), np.nan), np.array([np.inf, 0.0]), iteration=iteration)
+
+
+@pytest.mark.parametrize("name", ["positions", "objective_values", "iteration"])
+def test_ensemble_fields_cannot_be_reassigned(name):
+    ens = Ensemble(np.zeros((2, 1)), np.zeros(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ens, name, getattr(ens, name))
 
 
 # ------------------------------------------------------------ initialization
@@ -160,8 +178,8 @@ def test_consensus_input_validation():
         consensus_point(ens, -1.0)
     with pytest.raises(ConfigurationError):
         consensus_point(ens, math.inf)
-    bad = Ensemble(np.zeros((2, 1)), np.array([0.0, np.nan]))
     with pytest.raises(NumericDomainError):
+        bad = Ensemble(np.zeros((2, 1)), np.array([0.0, np.nan]))
         consensus_point(bad, 1.0)
 
 

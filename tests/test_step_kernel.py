@@ -1,7 +1,7 @@
 """The one step kernel against the loops it replaced, and the guards it keeps.
 
-``run``, ``cbo_step`` and ``decay_experiment`` now share ``core._step``:
-validated once at the public boundary, with one per-run workspace whose
+``run``, ``cbo_step`` and ``decay_experiment`` now share ``core._step``,
+whose new ``Ensemble`` checks each step, with one per-run workspace whose
 scratch keeps each step's deviation ``w - c``.  ``run_reference``,
 ``cbo_step_reference`` and ``decay_reference`` below are the loops before
 that change, frozen, with every kernel written as its whole-array
@@ -9,6 +9,7 @@ expression; every output must keep its bits.
 """
 
 import contextlib
+import dataclasses
 import math
 import warnings
 
@@ -32,7 +33,7 @@ from cbopt import (
     simplex,
     sphere,
 )
-from cbopt import diagnostics, metaio
+from cbopt import core, diagnostics, metaio, projections
 from cbopt.cli import main
 from cbopt.errors import NumericDomainError
 
@@ -371,6 +372,37 @@ def test_a_non_finite_objective_names_its_iteration():
         with pytest.raises(NumericDomainError, match="at iteration 1$"):
             cbo_step(init_ensemble(3, params, None, 1.0, simplex(3), FLAT), params, simplex(3),
                      flaky(0), np.random.default_rng(0))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The shapes of the arrays that ``core`` and the projectors scan for finiteness."""
+    shapes = []
+
+    def counting(arr):
+        shapes.append(np.shape(arr))
+        return metaio._all_finite(arr)
+
+    for module in (core, projections):
+        monkeypatch.setattr(module, "_all_finite", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("mode", list(NoiseMode))
+def test_a_step_scans_three_arrays(scans, mode):
+    # The projector's input, then the new Ensemble's values and positions.
+    params = params_for(6, mode, residual_tol=0.0)
+    objective = sphere(np.zeros(3))
+    ens = init_ensemble(3, params, None, 1.0, simplex(3), objective)
+    scans.clear()
+    cbo_step(ens, params, simplex(3), objective, np.random.default_rng(0))
+    assert scans == [(6, 3), (6,), (6, 3)]
+    counts = []
+    for steps in (4, 9):
+        scans.clear()
+        run(objective, simplex(3), dataclasses.replace(params, max_iters=steps))
+        counts.append(len(scans))
+    assert counts[1] - counts[0] == 3 * (9 - 4)
 
 
 @pytest.mark.parametrize("argv, message", [
