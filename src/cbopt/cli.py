@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +237,11 @@ def cmd_ingest(args) -> int:
     out = _out_dir(args)
     series = market.parse_prices(_read_text(args.prices))
     returns = market.log_returns(series)
-    stats = market.estimate_stats(returns, rf=0.0 if rf is None else rf)
+    with warnings.catch_warnings(record=True) as caught:  # a short sample warns
+        warnings.simplefilter("always")
+        stats = market.estimate_stats(returns, rf=0.0 if rf is None else rf)
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     with open(out / "stats.txt", "w", newline="\n") as fh:
         fh.write(market.format_stats(stats))
     print(

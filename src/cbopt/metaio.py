@@ -2,14 +2,14 @@
 
 Every float this package writes is rendered with Python's shortest
 round-trip ``repr`` of the float64 value: :func:`fmt_float` for one value,
-:func:`fmt_vector` for a vector and :func:`fmt_rows` for a 2-D block.  That
-keeps files byte-stable across repeated runs and lets a reader recover the
-exact binary value.  :func:`fmt_rows` computes those bytes on whole arrays
-(:func:`_fmt_block`): for a finite cell with 1e-4 <= |x| < 2**53 and a
-mantissa that is not a power of two, int64 arithmetic decides exactly which
-of the nearest 17-, 16- and 15-digit decimals is ``repr``'s, and every
-other cell, and every tie or distance on the half-ulp boundary, gets
-``repr``'s own text.  Every CSV table is rendered by :func:`_table_rows`,
+:func:`fmt_vector` for a vector and :func:`_fmt_block` for a 2-D block.
+That keeps files byte-stable across repeated runs and lets a reader recover
+the exact binary value.  :func:`_fmt_block` computes those bytes on whole
+arrays: for a finite cell with 1e-4 <= |x| < 2**53 and a mantissa that is
+not a power of two, int64 arithmetic decides exactly which of the nearest
+17-, 16- and 15-digit decimals is ``repr``'s, and every other cell, and
+every tie or distance on the half-ulp boundary, gets ``repr``'s own text.
+Every CSV table is rendered by :func:`_table_rows`,
 and every table file but the prices CSV is written by :func:`_write_csv`,
 which formats a large one in pieces on several forked processes
 (:func:`_pieces`); a piece stays bytes from the kernel to the file.
@@ -41,7 +41,6 @@ from .errors import ConfigurationError
 __all__ = [
     "fmt_float",
     "fmt_vector",
-    "fmt_rows",
     "parse_vector",
     "format_metadata",
     "write_metadata",
@@ -81,16 +80,6 @@ def fmt_vector(vec) -> str:
     # float.__repr__ rather than repr: a 2-D input then raises TypeError on
     # its row lists instead of printing them.
     return " ".join(map(float.__repr__, np.asarray(vec, dtype=float).tolist()))
-
-
-def fmt_rows(block) -> list[str]:
-    """One comma-joined line of round-trip floats per row of a 2-D block.
-
-    The same bytes as :func:`fmt_float` on each cell, rendered for the
-    whole block at once by :func:`_fmt_block`.
-    """
-    block = np.asarray(block, dtype=float)
-    return _fmt_block(block).decode("ascii").split("\n") if len(block) else []
 
 
 # Tables of the shortest round-trip kernel (_fmt_block).  10**k is exact in

@@ -1,9 +1,8 @@
 """Objective functions for the ensemble solver and portfolio scoring.
 
-An :class:`Objective` bundles a batch evaluator, or for user objectives a
-scalar one.  The built-ins define only the batch, and a single point is
-scored as a one-row batch, so each formula is written once (BLAS may still
-round a Sharpe row in a larger block differently).  The solver only ever
+An :class:`Objective` is its batch evaluator, and a single point is scored
+as a one-row batch, so each formula is written once (BLAS may still round a
+Sharpe row in a larger block differently).  The solver only ever
 needs point values, never derivatives.
 """
 
@@ -31,33 +30,27 @@ DEFAULT_VAR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Objective:
-    """A scalar objective with an optional batch evaluator.
+    """A batch evaluator and the descriptor that names it.
 
-    ``fn`` maps a d-vector to a float.  ``batch`` maps an ``(m, d)`` array
-    to an ``(m,)`` array; when given, it scores single points too (as one
-    row) and ``fn`` may be ``None``.  ``descriptor`` is a stable identifier
-    echoed into run metadata.
+    ``batch`` maps an ``(m, d)`` array to an ``(m,)`` array, one value per
+    row; a single point is scored as one row.  ``descriptor`` is a stable
+    identifier echoed into run metadata.
     """
 
-    fn: Callable[[np.ndarray], float] | None
+    batch: Callable[[np.ndarray], np.ndarray]
     descriptor: str
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.fn is None and self.batch is None:
-            raise ConfigurationError("an objective needs fn or batch")
 
     def __call__(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        if self.batch is not None:
-            return float(self.batch(w[None])[0])
-        return float(self.fn(w))
+        return float(self._values(np.asarray(w, dtype=float)[None])[0])
 
     def eval_many(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if self.batch is not None:
-            return np.asarray(self.batch(rows), dtype=float)
-        return np.array([float(self.fn(r)) for r in rows], dtype=float)
+        return self._values(np.asarray(rows, dtype=float))
+
+    def _values(self, rows) -> np.ndarray:
+        values = np.asarray(self.batch(rows), dtype=float)
+        if values.shape != (len(rows),):
+            raise ConfigurationError(f"objective {self.descriptor} must return one value per row")
+        return values
 
 
 def _check_names(names) -> tuple[str, ...]:
@@ -127,7 +120,7 @@ def sphere(center) -> Objective:
     c = np.asarray(center, dtype=float)
     if c.ndim != 1 or not np.all(np.isfinite(c)):
         raise ConfigurationError("sphere center must be a finite vector")
-    return Objective(None, f"sphere:{fmt_vector(c)}", batch=lambda rows: _row_sq(rows, c))
+    return Objective(lambda rows: _row_sq(rows, c), f"sphere:{fmt_vector(c)}")
 
 
 def rastrigin(shift, scale: float = 1.0) -> Objective:
@@ -161,7 +154,7 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
         _each_block(ranges, body, z_all, np.empty_like(z_all))
         return out
 
-    return Objective(None, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}", batch=batch)
+    return Objective(batch, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}")
 
 
 def row_variances(rows: np.ndarray, sigma: np.ndarray, floor: float) -> np.ndarray:
@@ -197,9 +190,8 @@ def neg_sharpe(stats: MarketStats) -> Objective:
     whenever the portfolio variance drops below ``DEFAULT_VAR_FLOOR``.
     """
     return Objective(
-        None,
+        lambda rows: -_sharpe_rows(stats, rows)[2],
         f"neg_sharpe:d={stats.dim};rf={fmt_float(stats.rf)}",
-        batch=lambda rows: -_sharpe_rows(stats, rows)[2],
     )
 
 

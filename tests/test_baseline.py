@@ -80,7 +80,7 @@ def test_grid_search_finds_a_vertex_center():
 
 def test_grid_search_breaks_ties_lexicographically():
     # constant objective: every lattice point ties; first lexicographic wins
-    flat = Objective(lambda w: 1.0, "flat")
+    flat = Objective(lambda rows: np.ones(len(rows)), "flat")
     best = grid_search_simplex(flat, 3, step=0.5)
     np.testing.assert_array_equal(best.weights, [0.0, 0.0, 1.0])
 
@@ -92,12 +92,14 @@ def test_a_value_that_is_not_finite_is_never_the_minimum():
         best = grid_search_simplex(rastrigin(np.array([0.5, 0.5]), 1e-320), 2, 0.01)
     np.testing.assert_array_equal(best.weights, [0.5, 0.5])
     assert best.value == 0.0
-    left_nan = Objective(lambda w: math.nan if w[0] < 0.2 else float(w @ w), "left-nan")
+    left_nan = Objective(
+        lambda rows: np.where(rows[:, 0] < 0.2, math.nan, (rows * rows).sum(axis=1)), "left-nan"
+    )
     best = grid_search_simplex(left_nan, 2, 0.01)
     np.testing.assert_array_equal(best.weights, [0.5, 0.5])
     assert best.value == 0.5
     # -inf is skipped too, and the first finite tie still wins.
-    flat = Objective(lambda w: -math.inf if w[0] < 0.5 else 1.0, "flat-right")
+    flat = Objective(lambda rows: np.where(rows[:, 0] < 0.5, -math.inf, 1.0), "flat-right")
     best = grid_search_simplex(flat, 2, 0.25)
     np.testing.assert_array_equal(best.weights, [0.5, 0.5])
     assert best.value == 1.0
@@ -105,7 +107,7 @@ def test_a_value_that_is_not_finite_is_never_the_minimum():
 
 def test_a_lattice_with_no_finite_value_is_a_domain_error():
     with pytest.raises(NumericDomainError, match="step-0.25 lattice has a finite value"):
-        grid_search_simplex(Objective(lambda w: math.nan, "nan"), 3, 0.25)
+        grid_search_simplex(Objective(lambda rows: np.full(len(rows), math.nan), "nan"), 3, 0.25)
 
 
 def test_grid_search_dimension_guard():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cbopt import metaio
-from cbopt.metaio import _table_rows, _write_csv, fmt_rows
+from cbopt.metaio import _fmt_block, _table_rows, _write_csv
 
 
 def old_table_rows(cols, lo: int, hi: int) -> str:
@@ -25,7 +25,8 @@ def old_table_rows(cols, lo: int, hi: int) -> str:
         elif kind == "b":
             cells += [["true" if v else "false" for v in col.tolist()] for col in group]
         else:
-            cells.append(fmt_rows(np.column_stack(list(group))))
+            block = np.column_stack(list(group))
+            cells.append(_fmt_block(block).decode().split("\n") if len(block) else [])
     return "\n".join(itertools.chain(map(",".join, zip(*cells)), [""]))
 
 

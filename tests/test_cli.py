@@ -234,6 +234,20 @@ def test_a_price_ratio_out_of_range_is_one_error_line(tmp_path, capsys, first, s
     assert capsys.readouterr().err == "error: returns must be finite\n"
 
 
+def test_a_short_sample_is_one_warning_line(tmp_path, capsys):
+    # Two return rows for two assets: the covariance is rank-deficient, which
+    # estimate_stats warns about; ingest still writes the stats and exits 0.
+    short = tmp_path / "prices.csv"
+    short.write_text("date,A,B\n2020-01-01,1,1\n2020-01-02,1,1\n2020-01-03,1,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ingest", str(short), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+    assert "rank-deficient" in lines[0]
+    assert (tmp_path / "out" / "stats.txt").read_text().startswith("d=2\n")
+
+
 def test_sharpe_objective_requires_stats(tmp_path, capsys):
     assert main(["solve", "--out", str(tmp_path)]) == 1
     assert "--stats" in capsys.readouterr().err

@@ -367,14 +367,14 @@ def test_run_is_deterministic_for_a_fixed_seed():
 def test_run_reports_nonfinite_objective_with_the_iteration():
     state = {"calls": 0}
 
-    def flaky(w):
+    def flaky(rows):
         state["calls"] += 1
-        return 0.0 if state["calls"] <= 6 else math.nan
+        return np.zeros(len(rows)) if state["calls"] <= 1 else np.full(len(rows), math.nan)
 
     obj = Objective(flaky, "flaky")
     with pytest.raises(NumericDomainError, match="iteration 1"):
         run(obj, simplex(2), params(n_particles=6, max_iters=10))
-    always_bad = Objective(lambda w: math.nan, "nan")
+    always_bad = Objective(lambda rows: np.full(len(rows), math.nan), "nan")
     with pytest.raises(NumericDomainError, match="iteration 0"):
         run(always_bad, simplex(2), params(n_particles=6))
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt import metaio
-from cbopt.metaio import _fmt_block, _write_csv, fmt_rows, usable_cpus
+from cbopt.metaio import _fmt_block, _write_csv, usable_cpus
 
 
 def reference(block) -> str:
@@ -124,11 +124,13 @@ def test_block_shapes(shape):
     assert_same_text(np.random.default_rng(7).standard_normal(shape))
 
 
-def test_fmt_rows_splits_the_block_text_into_rows():
+def test_fmt_block_text_splits_into_rows():
     rng = np.random.default_rng(8)
-    for shape in [(1, 1), (3, 4), (4, 0), (0, 4)]:
+    for shape in [(1, 1), (3, 4), (4, 0)]:
         block = rng.standard_normal(shape)
-        assert fmt_rows(block) == [",".join(map(repr, row)) for row in block.tolist()]
+        want = [",".join(map(repr, row)) for row in block.tolist()]
+        assert _fmt_block(block).decode().split("\n") == want
+    assert _fmt_block(rng.standard_normal((0, 4))) == b""
 
 
 def test_non_contiguous_blocks():

@@ -16,7 +16,7 @@ from cbopt.market import (
     format_prices,
     write_frontier_csv,
 )
-from cbopt.metaio import _mean, fmt_float, fmt_rows, fmt_vector
+from cbopt.metaio import _mean, fmt_float, fmt_vector
 from cbopt.objectives import MarketStats, neg_sharpe, row_variances
 
 MAX_D = 30
@@ -239,10 +239,8 @@ def test_fmt_vector_matches_the_per_cell_formatter(n):
     assert_same_text(fmt_vector(single), old_fmt_vector(single))
 
 
-def test_fmt_vector_and_fmt_rows_accept_python_numbers():
+def test_fmt_vector_accepts_python_numbers():
     assert fmt_vector([1, -2, 0.5]) == old_fmt_vector([1, -2, 0.5]) == "1.0 -2.0 0.5"
-    assert fmt_rows([[1, -0.0], [5e-324, 1e16]]) == ["1.0,-0.0", "5e-324,1e+16"]
-    assert fmt_rows(np.empty((0, 4))) == []
     with pytest.raises(TypeError):
         fmt_vector(np.eye(2))
 

@@ -172,7 +172,7 @@ def test_stopping_early_reaps_children_blocked_on_a_full_pipe(forks):
     block = cells(np.random.default_rng(5), (4 * PIECE_ROWS, D + 3))
 
     def render(lo, hi):
-        return ("\n".join(metaio.fmt_rows(block[lo:hi])) + "\n").encode()
+        return metaio._fmt_block(block[lo:hi]) + b"\n"
 
     pieces = metaio._pieces(len(block), D + 3, render, 3)
     assert next(pieces) == render(0, PIECE_ROWS)

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 from test_blocked_kernels import assert_same_bits
 
 from cbopt import (
+    CboParams,
     MarketStats,
     Objective,
+    grid_search_simplex,
+    init_ensemble,
     neg_sharpe,
     rastrigin,
+    run,
     sharpe_components,
     simplex,
     sphere,
@@ -140,10 +144,38 @@ def test_batch_matches_scalar_eval(market3):
         np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0)
 
 
-def test_objective_without_batch_falls_back_to_loop():
-    obj = Objective(lambda w: float(w.sum()), "rowsum")
+def test_an_objective_is_its_row_batch():
+    obj = Objective(lambda rows: rows.sum(axis=1), "rowsum")
     pts = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_allclose(obj.eval_many(pts), [1.0, 5.0, 9.0])
+    np.testing.assert_array_equal(obj.eval_many(pts), [1.0, 5.0, 9.0])
+    assert obj(np.array([2.0, 3.0])) == 5.0
+
+
+def test_a_scalar_objective_is_no_longer_accepted():
+    with pytest.raises(TypeError):
+        Objective(fn=lambda w: float(w.sum()), descriptor="total")
+
+
+MALFORMED_PARAMS = CboParams(lam=1.0, sigma=0.5, beta=10.0, h=0.1, n_particles=4, seed=3,
+                             max_iters=5)
+ENTRY_POINTS = {
+    "eval_many": lambda obj: obj.eval_many(np.full((4, 2), 0.5)),
+    "call": lambda obj: obj(np.array([0.5, 0.5])),
+    "init_ensemble": lambda obj: init_ensemble(2, MALFORMED_PARAMS, None, 1.0, simplex(2), obj),
+    "run": lambda obj: run(obj, simplex(2), MALFORMED_PARAMS),
+    "grid_search_simplex": lambda obj: grid_search_simplex(obj, 2, 0.25),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "batch", [lambda rows: rows.sum(), lambda rows: rows.sum(axis=1, keepdims=True)],
+    ids=["scalar", "column"],
+)
+def test_a_batch_without_one_value_per_row_fails_at_every_entry_point(batch, entry):
+    # Neither a block total nor an (m, 1) column is broadcast into values.
+    with pytest.raises(ConfigurationError, match="objective malformed must return one value"):
+        ENTRY_POINTS[entry](Objective(batch, "malformed"))
 
 
 def test_market_stats_validation():
@@ -184,7 +216,6 @@ def test_a_point_scores_as_a_one_row_batch(d, seed):
     stats = MarketStats(rng.normal(1e-3, 1e-3, d), f @ f.T + 1e-4 * np.eye(d), rf=1e-4)
     for obj in (sphere(rng.normal(size=d)), rastrigin(rng.normal(size=d), 0.7),
                 neg_sharpe(stats)):
-        assert obj.fn is None
         assert_same_bits(obj(w), obj.eval_many(w[None])[0])
 
 

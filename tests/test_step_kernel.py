@@ -305,7 +305,7 @@ class NanAfter:
 
 # Finite on any input, so only the scan of the projector's output can
 # notice what the projector returned.
-FLAT = Objective(None, "flat", batch=lambda rows: np.zeros(len(rows)))
+FLAT = Objective(lambda rows: np.zeros(len(rows)), "flat")
 
 
 @contextlib.contextmanager
@@ -356,7 +356,7 @@ def flaky(after: int) -> Objective:
         state["calls"] += 1
         return np.zeros(len(rows)) if state["calls"] <= after else np.full(len(rows), np.nan)
 
-    return Objective(None, "flaky", batch=batch)
+    return Objective(batch, "flaky")
 
 
 def test_a_non_finite_objective_names_its_iteration():
