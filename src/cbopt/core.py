@@ -426,14 +426,6 @@ def predictor_step(
     return out
 
 
-def _dev_norms(pos: np.ndarray, cons: np.ndarray, blocks, eta=None, held=False) -> np.ndarray:
-    """``||w_i - cons||`` for each row of ``(N, d)`` positions, or
-    ``||(w_i - cons) * eta_i||`` when noise values ``eta`` are given; ``blocks``
-    and ``held`` are :func:`metaio._row_sq`'s, and ``blocks`` is made once per run."""
-    sq = _row_sq(pos, cons, eta, blocks, held)
-    return np.sqrt(sq, out=sq)
-
-
 def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRecord:
     """The trace row for ``ensemble``.
 
@@ -477,7 +469,7 @@ def cbo_step(
         raise ConfigurationError("a step record needs a single (N, d) run")
     cons = consensus_point(ensemble, params.beta)
     work = _blocks(ensemble.positions.shape)  # one step: a kept deviation would not pay
-    dist = _dev_norms(ensemble.positions, cons, work)
+    dist = np.sqrt(_row_sq(ensemble.positions, cons, blocks=work))
     record = _record(
         ensemble, cons, float(dist.max()), float(ensemble.objective_values.min()),
         float(_mean(dist)), 0.0,
@@ -520,7 +512,7 @@ def run(
         while True:
             cons = consensus_point(ensemble, params.beta)
             pos = ensemble.positions
-            dist = _dev_norms(pos, cons, work)
+            dist = np.sqrt(_row_sq(pos, cons, blocks=work))
             residual = float(dist.max())
             a_sum += float(_mean(dist))
             i = int(np.argmin(ensemble.objective_values))
@@ -535,7 +527,7 @@ def run(
                 break
             eta = draw_step_noise(params, ensemble.dim, rng)
             ensemble = _step(ensemble, cons, eta, params, projector, objective, work)
-            b_sum += float(_mean(_dev_norms(pos, cons, work, eta, held=True)))
+            b_sum += float(_mean(np.sqrt(_row_sq(pos, cons, eta, work, held=True))))
 
     point = projector.project(cons)
     return RunResult(ensemble, trace, point, best_point, best_value)

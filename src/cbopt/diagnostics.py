@@ -307,12 +307,9 @@ def laplace_sweep(ensemble: Ensemble, betas) -> list[LaplacePoint]:
     if ensemble.positions.ndim != 2:
         raise ConfigurationError("laplace_sweep needs a single (N, d) run")
     best = ensemble.positions[int(np.argmin(ensemble.objective_values))]
-    out = []
-    for beta in betas:
-        cons = consensus_point(ensemble, beta)
-        gap = float(np.linalg.norm(cons - best))
-        out.append(LaplacePoint(beta, cons, gap))
-    return out
+    conses = [consensus_point(ensemble, beta) for beta in betas]
+    gaps = np.sqrt(_row_sq(np.array(conses), best))
+    return [LaplacePoint(beta, cons, float(gap)) for beta, cons, gap in zip(betas, conses, gaps)]
 
 
 def write_laplace_csv(points: list[LaplacePoint], path) -> None:
@@ -339,11 +336,9 @@ def error_trace(trace: RunTrace, reference) -> np.ndarray:
         raise ConfigurationError(
             f"reference dimension {ref.shape} does not match trace dimension {dim}"
         )
-    errs = np.empty(len(trace.records))
-    for i, rec in enumerate(trace.records):
-        err = float(np.linalg.norm(rec.center_of_mass - ref))
-        rec.err_ref = err
-        errs[i] = err
+    errs = np.sqrt(_row_sq(trace.centers_of_mass(), ref))
+    for rec, err in zip(trace.records, errs):
+        rec.err_ref = float(err)
     return errs
 
 

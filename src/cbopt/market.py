@@ -335,14 +335,18 @@ def parse_stats(text: str) -> MarketStats:
         fields = parse_metadata(text)
     except ConfigurationError as exc:
         raise ConfigurationError(f"malformed stats {exc}") from None
+    unknown = sorted(set(fields) - {"d", "rf", "names", "mu", "sigma"})
+    if unknown:
+        raise ConfigurationError(f"unknown stats key(s): {', '.join(unknown)}")
     try:
         d = int(fields["d"])
         rf = float(fields["rf"])
-        names = tuple(fields["names"].split())
+        names = fields["names"].split()
         mu = np.array(parse_vector(fields["mu"]), dtype=float)
         sigma = np.array(parse_vector(fields["sigma"]), dtype=float).reshape(d, d)
     except KeyError as exc:
         raise ConfigurationError(f"stats text missing field {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(f"malformed stats text: {exc}") from exc
-    return MarketStats(mu, sigma, rf, names)
+    # Checked here: MarketStats would invent names for an empty list.
+    return MarketStats(mu, sigma, rf, _check_names(names))

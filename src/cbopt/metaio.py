@@ -20,10 +20,10 @@ runs a kernel's blocks on short-lived threads, up to one per usable CPU,
 joined before it returns.
 Every block keeps its operands and ufunc order, so the bits do not depend
 on the number of threads.  :func:`_row_sq`, the squared distance of each
-row to a center, is the kernel the solver's residuals, the sphere
-objective, the ball's membership test and the decay experiment share;
-it sums a block of many rows shorter than ``_SHORT_ROW`` values column by
-column (:func:`_row_sum`), with numpy's bits.
+row to a center, is the kernel of every distance the package reports (the
+residuals, sphere objective, ball membership, decay experiment, error trace
+and Laplace gap); it sums a block of many rows shorter than ``_SHORT_ROW``
+values column by column (:func:`_row_sum`), with numpy's bits.
 """
 
 from __future__ import annotations
@@ -582,8 +582,9 @@ def write_metadata(path, items: dict) -> None:
 
 
 def parse_metadata(text: str) -> dict:
-    """Inverse of :func:`format_metadata` (values stay strings)."""
+    """Inverse of :func:`format_metadata` (values stay strings; a key may appear once)."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -591,5 +592,9 @@ def parse_metadata(text: str) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigurationError(
+                f"line {lineno}: duplicate key {key!r} (first on line {first[key]})")
+        out[key] = value.strip()
     return out

@@ -95,14 +95,15 @@ class SimplexProjector(Projector):
     Rows are projected in serial blocks of about ``_BLOCK_CELLS // 4``
     cells, so the sort and cumsum scratch stays in cache; each row is one
     sort and one sequential cumsum, so the bits do not depend on the block.
-    The rule's rounding error grows with the row's largest entry ``u_1``: a
-    row's sum stays within about ``d**2 * eps * |u_1|`` of 1.  From
-    ``|u_1| >= 2**53`` on, ``u_1 - 1`` is no longer exact and ``t_1`` can
-    round to ``u_1`` (or to ``u_1 - 2``), and huge entries can overflow the
-    partial sums.  Those rows, and any row whose threshold is not finite,
-    are projected again after subtracting their maximum, which leaves the
+    The rule's partial sums round by up to about ``(k**2/4 + k) * eps *
+    max(|u_1|, |theta|)`` with ``theta`` at column ``k``, which exact ties
+    reach.  Where that could reach a quarter of the default membership
+    tolerance (``max(|u_1|, |theta|) >= tol / (eps*k*(k + 4))``: 938 at
+    k = 20; rows shorter than ``_SHORT_ROW`` take k = d, as the column path
+    does not track k), as in every row whose partial sums overflow, the row
+    is projected again after subtracting its maximum.  That leaves the
     projection unchanged; ``k`` is then the last column before the first
-    with ``u_k <= t_k``, and their sum is within about ``d**2 * eps`` of 1.
+    with ``u_k <= t_k``, and the sum is within about ``d * eps`` of 1.
 
     Rows shorter than ``metaio._SHORT_ROW`` (8 values, one cache line) are
     dominated by numpy's per-row loops, not by arithmetic: at (1600, 4) the
@@ -124,6 +125,9 @@ class SimplexProjector(Projector):
         self._k_col = np.arange(1.0, self.dim + 1)[:, None]  # k = 1..d as a column
         # Blocks of at least this many rows take _column_thresholds; None: none do.
         self._column_rows = 16 * self.dim**2 if self.dim < metaio._SHORT_ROW else None
+        # max(|u_1|, |theta|) from which a row is redone, by d - k (see _project_block).
+        k = np.full(self.dim, self.dim) if self._column_rows else np.arange(self.dim, 0, -1)
+        self._exact_below = DEFAULT_MEMBERSHIP_TOL / (np.finfo(float).eps * k * (k + 4.0))
 
     def _thresholds(self, v):
         """Rows sorted descending as ``-sort(-v)`` (a tie may swap only +-0, which
@@ -173,19 +177,18 @@ class SimplexProjector(Projector):
     def _project_block(self, v, out):
         if self._column_rows is not None and len(v) >= self._column_rows:
             theta, top = self._column_thresholds(v, out)
+            bound = self._exact_below[0]
         else:
             u, t, valid = self._thresholds(v)
+            last = valid[:, ::-1].argmax(1)
             # t at the last valid column: its bits are (css - 1)/(k + 1).
-            theta = t.reshape(-1)[np.arange(self.dim - 1, t.size, self.dim)
-                                  - valid[:, ::-1].argmax(1)]
+            theta = t.reshape(-1)[np.arange(self.dim - 1, t.size, self.dim) - last]
             np.subtract(v, theta[:, None], out=out)
             np.maximum(out, 0.0, out=out)
-            top = u[:, 0]
-        # Below 2**53, u_1 - 1 is exact, so column 0 is valid with a margin
-        # of 1; from there on it may fail, or pass with a margin of 2.  Those
-        # rows, and rows whose partial sums overflowed, are redone.
-        redo = np.abs(top) >= 2.0**53
-        redo |= np.isinf(theta)
+            top, bound = u[:, 0], self._exact_below[last]
+        # max(|u_1|, |theta|): theta < u_1 at a valid column, and a row with none
+        # has |u_1| >= 2**53.  fmax skips a NaN theta, which needs u_1 >= 1.8e308/d.
+        redo = np.fmax(top, -theta) >= bound
         if not np.count_nonzero(redo):
             return
         idx = np.flatnonzero(redo)

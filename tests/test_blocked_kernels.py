@@ -172,8 +172,8 @@ def test_run_norms_match_the_whole_array_expressions(cd, mode, seed):
         copies = [a.copy() for a in (pos, cons, eta)]
         with block_cells(cells):
             blocks = metaio._blocks(pos.shape)
-            dist = core._dev_norms(pos, cons, blocks)
-            term = core._dev_norms(pos, cons, blocks, eta)
+            dist = np.sqrt(metaio._row_sq(pos, cons, blocks=blocks))
+            term = np.sqrt(metaio._row_sq(pos, cons, eta, blocks))
         want_dist, want_term = norms_reference(pos, cons, eta)
         assert_same_bits(dist, want_dist)
         assert_same_bits(term, want_term)
@@ -216,8 +216,8 @@ def test_default_block_size_edges(n, d):
                          predictor_reference(ens, cons, params, eta))
         want = norms_reference(pos, cons, eta)
         blocks = metaio._blocks(pos.shape)
-        assert_same_bits(core._dev_norms(pos, cons, blocks), want[0])
-        assert_same_bits(core._dev_norms(pos, cons, blocks, eta), want[1])
+        assert_same_bits(np.sqrt(metaio._row_sq(pos, cons, blocks=blocks)), want[0])
+        assert_same_bits(np.sqrt(metaio._row_sq(pos, cons, eta, blocks)), want[1])
     proj = ball(cons, 0.5 * math.sqrt(d))
     assert_same_bits(proj.project_rows(pos), ball_reference(proj, pos))
     assert_same_bits(sphere(cons).eval_many(pos), sphere_reference(cons, pos))

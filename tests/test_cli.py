@@ -476,6 +476,21 @@ def test_duplicate_asset_names_in_stats_are_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate asset name 'A'\n"
 
 
+@pytest.mark.parametrize("old, new, err", [
+    ("rf=0.0\n", "rf=0.0\nmu=0 0 0\n",
+     "malformed stats line 5: duplicate key 'mu' (first on line 3)"),
+    ("rf=0.0\n", "rf=0.0\nextra=5\n", "unknown stats key(s): extra"),
+    ("names=A1 A2 A3", "names=", "need at least one asset name"),
+], ids=["duplicate", "unknown", "no-names"])
+def test_stats_keys_that_are_repeated_unknown_or_empty_are_an_error_line(
+        tmp_path, capsys, old, new, err):
+    stats = tmp_path / "in" / "stats.txt"
+    make_inputs(stats.parent)
+    stats.write_text(stats.read_text().replace(old, new))
+    assert main(["solve", "--stats", str(stats), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("argv", [["solve", "--lambda", "1e308"], ["solve", "--sigma", "1e200"],
                                   ["diagnose", "--lambda", "1e200"]])
 def test_parameters_whose_square_overflows_are_an_error_line(tmp_path, capsys, argv):

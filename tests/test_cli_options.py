@@ -135,6 +135,15 @@ def test_unknown_config_key_exits_1_naming_it(tmp_path, capsys):
     assert err == f"error: unknown config key(s) in {cfg}: wokers\n"
 
 
+def test_repeated_config_key_exits_1_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nparticles=10\nseed=2\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 3: duplicate key 'seed' (first on line 1)\n"
+    assert not out.exists()
+
+
 def test_config_value_outside_the_choices_exits_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("noise=bogus\n")

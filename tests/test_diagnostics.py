@@ -19,6 +19,7 @@ from cbopt import (
     simplex,
     sphere,
 )
+from cbopt.core import RunTrace, TraceRecord
 from cbopt.diagnostics import (
     Verdict,
     error_trace,
@@ -27,6 +28,7 @@ from cbopt.diagnostics import (
     write_laplace_csv,
 )
 from cbopt.errors import ConfigurationError, NumericDomainError
+from cbopt.metaio import _row_sq
 
 
 def params(**kw):
@@ -317,6 +319,29 @@ def test_error_trace_validation():
 
     with pytest.raises(ConfigurationError):
         error_trace(RunTrace(), np.zeros(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 300), st.integers(0, 2**32 - 1))
+def test_error_trace_and_laplace_gaps_are_the_row_sq_kernel(d, n, seed):
+    rng = np.random.default_rng(seed)
+    coms = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+    ref = rng.standard_normal(d)
+    trace = RunTrace([TraceRecord(i, ref, 0.0, 0.0, 0.0, com, 0.0, 0.0)
+                      for i, com in enumerate(coms)])
+    errs = error_trace(trace, ref)
+    ens = Ensemble(coms, rng.standard_normal(n))
+    points = laplace_sweep(ens, [0.0, 1.0, 10.0, 1e3])
+    best = coms[np.argmin(ens.objective_values)]
+    conses = np.array([p.consensus for p in points])
+    gaps = np.array([p.gap for p in points])
+    assert [rec.err_ref for rec in trace] == list(errs)
+    for got, rows, center in ((errs, coms, ref), (gaps, conses, best)):
+        want = np.sqrt(_row_sq(rows, center))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # np.linalg.norm, the per-row form these distances used to take
+        norms = np.array([np.linalg.norm(row - center) for row in rows])
+        assert np.all(np.abs(got - norms) <= 2 * d * np.finfo(float).eps * norms)
 
 
 def test_error_csv_layout(tmp_path):

@@ -193,8 +193,8 @@ def test_run_norms(cells, cpus, started, mode):
     copies = [a.copy() for a in (pos, cons, eta)]
     blocks = metaio._blocks(pos.shape)
     serial, threaded = serial_and_threaded(
-        cpus, started, lambda: (core._dev_norms(pos, cons, blocks),
-                                core._dev_norms(pos, cons, blocks, eta)))
+        cpus, started, lambda: (np.sqrt(metaio._row_sq(pos, cons, blocks=blocks)),
+                                np.sqrt(metaio._row_sq(pos, cons, eta, blocks))))
     want = norms_reference(pos, cons, eta)
     for s, t, w in zip(serial, threaded, want):
         assert_same_bits(t, s)
