@@ -3,7 +3,8 @@
 Every command reads an optional flat ``key=value`` config file (``#``
 comments allowed); explicit flags override file values, which override
 built-in defaults.  The resolved config is echoed into the command's
-``*_meta.txt`` artifact.  A config key that no command reads is an error.
+``*_meta.txt`` artifact.  A config key that no command reads is an error,
+and every error in a config or stats file's text names the file.
 
 ``_OPTIONS`` is the one place to add an option: its row gives the config
 key, the flag, the caster, the default, the help text and the commands
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -99,11 +101,22 @@ def _read_text(path) -> str:
         raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+@contextmanager
+def _naming(path):
+    """Put ``path`` in front of a ``ConfigurationError`` raised inside."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def _resolve(args) -> dict:
     """The command's keys in table order: flags > config file > defaults."""
     from_file: dict[str, str] = {}
     if args.config:
-        from_file = parse_metadata(_read_text(args.config))
+        text = _read_text(args.config)
+        with _naming(args.config):
+            from_file = parse_metadata(text)
     unknown = sorted(set(from_file) - _CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
@@ -115,7 +128,8 @@ def _resolve(args) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in from_file:
-            resolved[key] = _cast(key, from_file[key], caster)
+            with _naming(args.config):
+                resolved[key] = _cast(key, from_file[key], caster)
         else:
             resolved[key] = default
     if resolved.get("seed", 0) < 0:  # numpy's seeding would raise a bare ValueError
@@ -163,7 +177,9 @@ def _cbo_params(cfg: dict, seed: int) -> CboParams:
 def _load_stats(cfg: dict) -> objectives.MarketStats:
     if not cfg.get("stats"):
         raise ConfigurationError("this objective needs --stats (see the ingest command)")
-    stats = market.parse_stats(_read_text(cfg["stats"]))
+    text = _read_text(cfg["stats"])
+    with _naming(cfg["stats"]):
+        stats = market.parse_stats(text)
     if cfg.get("rf") is not None:
         stats = stats.with_rf(cfg["rf"])
     return stats
@@ -331,11 +347,12 @@ def cmd_frontier(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _resolve(args)
-    betas = _cast(
-        "betas",
-        cfg["betas"],
-        lambda raw: diagnostics.check_betas(float(t) for t in raw.split(",") if t.strip()),
-    )
+    with _naming(args.config) if args.betas is None else nullcontext():
+        betas = _cast(
+            "betas",
+            cfg["betas"],
+            lambda raw: diagnostics.check_betas(float(t) for t in raw.split(",") if t.strip()),
+        )
     out = _out_dir(args)
     objective, projector, _stats = _build_problem(cfg)
     decay_seed, laplace_seed, solve_seed = _derived_seeds(cfg["seed"], 3)

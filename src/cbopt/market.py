@@ -107,7 +107,11 @@ class ReturnsSeries:
 
 @dataclass(frozen=True)
 class FrontierCloud:
-    """Monte Carlo sample of feasible portfolios with their scores."""
+    """Monte Carlo sample of feasible portfolios with their scores.
+
+    From :func:`sample_frontier`, ``ret``, ``risk`` and ``sharpe`` are the
+    rows of one ``(3, n)`` array, and ``weights`` is ``(n, d)``.
+    """
 
     weights: np.ndarray
     ret: np.ndarray
@@ -275,24 +279,30 @@ def demo_market(d: int) -> tuple[np.ndarray, np.ndarray]:
 def sample_frontier(stats: MarketStats, n_samples: int, seed: int) -> FrontierCloud:
     """Score ``n_samples`` uniformly distributed simplex portfolios.
 
-    Uniformity comes from normalized i.i.d. exponential spacings.  Sampling
-    is chunked with one spawned seed per chunk and merged in chunk order.
+    Uniformity comes from normalized i.i.d. exponential spacings.  The
+    weights and the scores are allocated first, so a cloud too large to
+    hold fails before any seed is spawned.  Each ``_FRONTIER_CHUNK`` rows,
+    in order, are drawn in place from their own spawned seed and divided
+    by their row sums.  The rows are then scored in blocks that follow the
+    chunks, with a shorter tail joined to the block before it: every block
+    but a lone one has at least ``_FRONTIER_CHUNK`` rows, and a cloud under
+    twice that is one block.
     """
     if not _is_int(n_samples) or n_samples < 0:
         raise ConfigurationError("n_samples must be a nonnegative integer")
-    d = stats.dim
-    if n_samples == 0:
-        empty = np.empty(0)
-        return FrontierCloud(np.empty((0, d)), empty, empty, empty)
-
-    n_chunks = (n_samples + _FRONTIER_CHUNK - 1) // _FRONTIER_CHUNK
-    parts = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        size = min(_FRONTIER_CHUNK, n_samples - i * _FRONTIER_CHUNK)
-        spacings = np.random.default_rng(child).standard_exponential((size, d))
-        parts.append(spacings / spacings.sum(axis=1, keepdims=True))
-    weights = np.vstack(parts)
-    return FrontierCloud(weights, *_sharpe_rows(stats, weights))
+    weights = np.empty((n_samples, stats.dim))
+    scores = np.empty((3, n_samples))
+    starts = range(0, n_samples, _FRONTIER_CHUNK)
+    for lo, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
+        chunk = weights[lo:lo + _FRONTIER_CHUNK]
+        np.random.default_rng(child).standard_exponential(out=chunk)
+        chunk /= chunk.sum(axis=1, keepdims=True)
+    # A shorter block can take another BLAS kernel and other bits than the
+    # whole-cloud product; blocks of a chunk or more have given the same.
+    block_starts = range(0, max(n_samples - _FRONTIER_CHUNK, 0) + 1, _FRONTIER_CHUNK)
+    for lo, hi in zip(block_starts, [*block_starts[1:], n_samples]):
+        scores[:, lo:hi] = _sharpe_rows(stats, weights[lo:hi])
+    return FrontierCloud(weights, *scores)
 
 
 def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:

@@ -473,7 +473,7 @@ def test_duplicate_asset_names_in_stats_are_an_error_line(tmp_path, capsys):
     make_inputs(stats.parent)
     stats.write_text(stats.read_text().replace("names=A1 A2 A3", "names=A A A"))
     assert main(["solve", "--stats", str(stats), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: duplicate asset name 'A'\n"
+    assert capsys.readouterr().err == f"error: {stats}: duplicate asset name 'A'\n"
 
 
 @pytest.mark.parametrize("old, new, err", [
@@ -488,7 +488,40 @@ def test_stats_keys_that_are_repeated_unknown_or_empty_are_an_error_line(
     make_inputs(stats.parent)
     stats.write_text(stats.read_text().replace(old, new))
     assert main(["solve", "--stats", str(stats), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {err}\n"
+    assert capsys.readouterr().err == f"error: {stats}: {err}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "seed=1\nseed=2\n", "seed\n", "seed=x\n", "tol=small\n", "reference=exact\n",
+    "betas=1,abc\n", "betas=10,1\n",
+], ids=["duplicate", "no-equals", "int", "float", "choice", "betas", "descending-betas"])
+def test_every_config_file_error_names_the_file(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["diagnose", "--objective", "sphere", "--dim", "2", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("rf=0.0\n", "rf=0.0\nrf=0.1\n"),
+    ("rf=0.0\n", "rf 0.0\n"),
+    ("rf=0.0\n", ""),
+    ("rf=0.0\n", "rf=x\n"),
+    ("names=A1 A2 A3", "names=A1 A2"),
+    ("d=3", "d=4"),
+], ids=["duplicate", "no-equals", "missing", "float", "names", "shape"])
+def test_every_stats_file_error_names_the_file(tmp_path, capsys, old, new):
+    stats = tmp_path / "in" / "stats.txt"
+    make_inputs(stats.parent)
+    stats.write_text(stats.read_text().replace(old, new))
+    for command in ("solve", "frontier", "diagnose"):
+        assert main([command, "--stats", str(stats), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stats}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv", [["solve", "--lambda", "1e308"], ["solve", "--sigma", "1e200"],
@@ -555,6 +588,20 @@ def test_an_allocation_that_fails_is_an_error_line(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate 74.5 GiB")
     assert "Traceback" not in err
+
+
+def test_a_frontier_too_large_to_hold_fails_at_once_with_one_error_line(tmp_path, capsys,
+                                                                         market3):
+    # 10**13 rows of 3 weights are 218 TiB, more than a 64-bit address space
+    # maps, so the first allocation fails before any seed is spawned.
+    stats = tmp_path / "stats.txt"
+    stats.write_text(format_stats(market3))
+    out = tmp_path / "out"
+    assert main(["frontier", "--stats", str(stats), "--samples", "10000000000000",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not (out / "frontier.csv").exists()
 
 
 def test_a_demo_market_above_the_cap_is_an_error_line(tmp_path, capsys):

@@ -140,7 +140,8 @@ def test_repeated_config_key_exits_1_naming_both_lines(tmp_path, capsys):
     cfg.write_text("seed=1\nparticles=10\nseed=2\n")
     out = tmp_path / "out"
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: line 3: duplicate key 'seed' (first on line 1)\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: line 3: duplicate key 'seed' (first on line 1)\n"
     assert not out.exists()
 
 
@@ -150,7 +151,8 @@ def test_config_value_outside_the_choices_exits_1(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--objective", "sphere", "--dim", "2",
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: config value noise='bogus': expected one of common, independent\n"
+    assert err == (f"error: {cfg}: config value noise='bogus': "
+                   "expected one of common, independent\n")
 
 
 def test_flag_value_outside_the_choices_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cbopt import (
     simplex,
     synthetic_market,
 )
+from cbopt import market
 from cbopt.errors import (
     ConfigurationError,
     DegeneratePortfolioError,
@@ -25,6 +27,7 @@ from cbopt.errors import (
     IngestionError,
 )
 from cbopt.market import (
+    _FRONTIER_CHUNK,
     _MAX_DEMO_CELLS,
     ReturnsSeries,
     format_prices,
@@ -33,6 +36,7 @@ from cbopt.market import (
     parse_stats,
     write_frontier_csv,
 )
+from cbopt.objectives import _sharpe_rows
 
 GOOD = "date,AAA,BBB\n2020-01-01,100,200\n2020-01-02,101,198\n2020-01-03,99,202\n"
 
@@ -256,6 +260,74 @@ def test_frontier_cloud_never_beats_a_dense_grid(market3):
     best = grid_search_simplex(neg_sharpe(market3), 3, step=0.001)
     grid_sharpe = -best.value
     assert cloud.sharpe.max() < grid_sharpe
+
+
+# Around one and two sampling chunks, and three chunks with a one-row tail.
+CLOUD_SIZES = [0, 1, 8191, 8192, 8193, 16383, 16384, 16385, 24577]
+
+
+def chunked_frontier_weights(n, d, seed):
+    """The weights as drawn before they were sampled in place: one array per
+    chunk, each normalized on its own, then stacked."""
+    children = np.random.SeedSequence(seed).spawn(-(-n // _FRONTIER_CHUNK))
+    parts = []
+    for i, child in enumerate(children):
+        size = min(_FRONTIER_CHUNK, n - i * _FRONTIER_CHUNK)
+        spacings = np.random.default_rng(child).standard_exponential((size, d))
+        parts.append(spacings / spacings.sum(axis=1, keepdims=True))
+    return np.vstack(parts) if parts else np.empty((0, d))
+
+
+def documented_blocks(n):
+    """Row ranges that follow the chunks, a shorter tail joined to the one before."""
+    if n < 2 * _FRONTIER_CHUNK:
+        return [(0, n)]
+    edges = list(range(0, n - _FRONTIER_CHUNK + 1, _FRONTIER_CHUNK)) + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+@pytest.mark.parametrize("n", CLOUD_SIZES)
+def test_frontier_weights_are_the_bits_of_the_chunked_draws(n, d):
+    stats = MarketStats(*demo_market(d))
+    cloud = sample_frontier(stats, n, seed=n + d)
+    assert cloud.weights.shape == (n, d)
+    np.testing.assert_array_equal(cloud.weights, chunked_frontier_weights(n, d, n + d))
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+@pytest.mark.parametrize("n", CLOUD_SIZES)
+def test_frontier_scores_are_the_documented_blocks_scored_alone(monkeypatch, n, d):
+    stats = MarketStats(*demo_market(d))
+    seen = []
+
+    def spy(stats, rows):
+        seen.append(len(rows))
+        return _sharpe_rows(stats, rows)
+
+    monkeypatch.setattr(market, "_sharpe_rows", spy)
+    cloud = sample_frontier(stats, n, seed=n + d)
+    blocks = documented_blocks(n)
+    assert seen == [hi - lo for lo, hi in blocks]
+    assert len(seen) == 1 or min(seen) >= _FRONTIER_CHUNK
+    for lo, hi in blocks:
+        ret, risk, sharpe = _sharpe_rows(stats, cloud.weights[lo:hi])
+        np.testing.assert_array_equal(cloud.ret[lo:hi], ret)
+        np.testing.assert_array_equal(cloud.risk[lo:hi], risk)
+        np.testing.assert_array_equal(cloud.sharpe[lo:hi], sharpe)
+
+
+def test_frontier_holds_one_copy_of_the_cloud():
+    stats = MarketStats(*demo_market(20))
+    sample_frontier(stats, 10, seed=0)  # numpy's and the generator's one-time setup
+    tracemalloc.start()
+    try:
+        cloud = sample_frontier(stats, 100_000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (cloud.weights, cloud.ret, cloud.risk, cloud.sharpe))
+    assert peak < held + (4 << 20), (peak, held)
 
 
 def test_degenerate_cloud_portfolio_is_rejected():
