@@ -77,8 +77,9 @@ _OPTIONS = [
 _CONFIG_KEYS = {row[0] for row in _OPTIONS}
 
 
-def _cast(key: str, raw: str, caster):
-    """A config-file value through its row's caster."""
+def _cast(name: str, raw: str, caster):
+    """A config-file value, or a flag's text, through its row's caster; an
+    error names the value as ``name`` (``config value <key>`` or the flag)."""
     try:
         if isinstance(caster, tuple):
             if raw not in caster:
@@ -90,7 +91,7 @@ def _cast(key: str, raw: str, caster):
             return raw.lower() in ("true", "1", "yes")
         return caster(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config value {key}={raw!r}: {exc}") from exc
+        raise ConfigurationError(f"{name}={raw!r}: {exc}") from exc
 
 
 def _read_text(path) -> str:
@@ -129,7 +130,7 @@ def _resolve(args) -> dict:
             resolved[key] = flag
         elif key in from_file:
             with _naming(args.config):
-                resolved[key] = _cast(key, from_file[key], caster)
+                resolved[key] = _cast(f"config value {key}", from_file[key], caster)
         else:
             resolved[key] = default
     if resolved.get("seed", 0) < 0:  # numpy's seeding would raise a bare ValueError
@@ -349,7 +350,7 @@ def cmd_diagnose(args) -> int:
     cfg = _resolve(args)
     with _naming(args.config) if args.betas is None else nullcontext():
         betas = _cast(
-            "betas",
+            "config value betas" if args.betas is None else "--betas",
             cfg["betas"],
             lambda raw: diagnostics.check_betas(float(t) for t in raw.split(",") if t.strip()),
         )

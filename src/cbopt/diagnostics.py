@@ -41,7 +41,7 @@ from .core import (
     draw_step_noise,
 )
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _blocks, _is_int, _mean, _row_sq, _write_csv, fmt_float, format_metadata
+from .metaio import _is_int, _mean, _row_sq, _write_csv, fmt_float, format_metadata
 
 __all__ = [
     "Verdict",
@@ -215,22 +215,20 @@ def decay_experiment(
     rngs = [np.random.default_rng(s) for _, s in seeds]
     step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else w0[0].size)
     block_steps = max(1, _NOISE_CELLS // step_cells)
-    squares = np.empty(w0.shape)
-    work = _blocks(w0.shape, keep=True)  # the steps' scratch, made once
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
     with np.errstate(all="ignore"):  # the steps' checks report what is not finite
         for n in range(horizon + 1):
             pos = ens.positions
-            run_pair[:, n] = _pairwise_sq(pos, _center_of_mass(pos), squares)
+            run_pair[:, n] = _pairwise_sq(pos, _center_of_mass(pos))
             cons = consensus_point(ens, params.beta)
-            run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :], blocks=work), axis=-1)
+            run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :]), axis=-1)
             if n < horizon:
                 if n % block_steps == 0:
                     steps = min(block_steps, horizon - n)
                     block = draw_step_noise(params, dim, rngs, steps=steps)
                 eta = block[:, n % block_steps]
-                ens = _step(ens, cons, eta, params, projector, objective, work)
+                ens = _step(ens, cons, eta, params, projector, objective)
 
     # np.add.accumulate adds the runs one at a time in run-index order, so
     # the totals do not depend on how the runs were batched.

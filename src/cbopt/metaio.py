@@ -15,8 +15,8 @@ which formats a large one in pieces on several forked processes
 (:func:`_pieces`); a piece stays bytes from the kernel to the file.
 :func:`_fmt_2f_rows` is the ``.2f`` kernel of the SVG's circles.  The same
 row ranges (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)``
-arrays into cache-sized blocks (:func:`_blocks`), and :func:`_each_block`
-runs a kernel's blocks on short-lived threads, up to one per usable CPU,
+arrays into cache-sized blocks: :func:`_each_block` runs a kernel's blocks
+on short-lived threads, up to one per usable CPU, each with its own scratch,
 joined before it returns.
 Every block keeps its operands and ufunc order, so the bits do not depend
 on the number of threads.  :func:`_row_sq`, the squared distance of each
@@ -308,49 +308,39 @@ def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _block_ranges(shape) -> list[tuple[int, int]]:
-    """Row ranges of about ``_BLOCK_CELLS`` cells over the first axis of an
-    array of ``shape``; one range, the whole array, if it fits in a block."""
-    row_cells = math.prod(shape[1:])
-    if shape[0] * row_cells <= _BLOCK_CELLS:
-        return [(0, shape[0])]
-    return _row_ranges(shape[0], row_cells, _BLOCK_CELLS)
+def _each_block(shape, body, buffers: int = 1) -> None:
+    """``body(lo, hi, *scratch)`` for every row range of about
+    ``_BLOCK_CELLS`` cells over the first axis of an array of ``shape``
+    (one range, the whole array, if it fits in a block); ``scratch`` is
+    ``buffers`` uninitialized arrays shaped like the largest range.
 
-
-def _blocks(shape, keep: bool = False) -> tuple:
-    """:func:`_block_ranges` of ``shape`` and one uninitialized scratch array
-    that holds the largest of them; with ``keep``, and rows that form one
-    block, a second one, so that :func:`_row_sq` keeps its deviation.
-
-    Elementwise ufuncs give the same bits on a block as on the whole array,
-    and every row sum stays one reduction over one contiguous row, so a
-    kernel's output does not depend on the block size.
-    """
-    ranges = _block_ranges(shape)
-    count = 2 if keep and len(ranges) == 1 else 1
-    return ranges, *(np.empty((ranges[0][1], *shape[1:])) for _ in range(count))
-
-
-def _each_block(ranges, body, *scratch) -> None:
-    """``body(lo, hi, *buffers)`` for every ``(lo, hi)`` in ``ranges``.
-
-    One range runs inline on ``scratch``.  More are shared by
+    One range runs inline.  More are shared by
     P = ``min(len(ranges) // 2, usable_cpus())`` threads, each taking the
     next range in turn, so a thread the host starts late takes fewer.  P
     leaves at least two ranges per thread: one 1 MB block is about as much
-    work as starting a thread and faulting in its output.  Thread 0 is the
-    caller and uses ``scratch``; every other thread gets fresh arrays shaped
-    like it, allocated here on the calling thread.  Each worker runs
-    under the caller's numpy error state; every thread is joined before this
-    returns or raises, so :func:`_pieces` may fork again afterwards, and the
-    first worker exception is re-raised here.
+    work as starting a thread and faulting in its output.  Every thread,
+    the caller's included, gets its own scratch, allocated here on the
+    calling thread.  Each worker runs under the caller's numpy error state;
+    every thread is joined before this returns or raises, so :func:`_pieces`
+    may fork again afterwards, and the first exception, the caller's or a
+    worker's, is re-raised here.
 
     ``body`` must write only rows ``lo:hi`` of its outputs and its own
-    buffers, allocate nothing full-size and call no public function.  Its
-    blocks then get the same bits on any number of threads.
+    scratch, allocate nothing full-size and call no public function.
+    Elementwise ufuncs give the same bits on a block as on the whole array,
+    and every row sum stays one reduction over one contiguous row, so its
+    blocks get the bits of the whole-array expression on any number of
+    threads.
     """
+    row_cells = math.prod(shape[1:])
+    ranges = ([(0, shape[0])] if shape[0] * row_cells <= _BLOCK_CELLS
+              else _row_ranges(shape[0], row_cells, _BLOCK_CELLS))
+
+    def scratch() -> tuple:
+        return tuple(np.empty((ranges[0][1], *shape[1:])) for _ in range(buffers))
+
     if len(ranges) == 1:
-        body(*ranges[0], *scratch)
+        body(*ranges[0], *scratch())
         return
     procs = min(len(ranges) // 2, usable_cpus())
     todo = iter(ranges)  # shared by the threads: next() holds the GIL
@@ -358,22 +348,20 @@ def _each_block(ranges, body, *scratch) -> None:
     call = np.geterrcall()
     errors = []
 
-    def share(buffers) -> None:
+    def share(arrays) -> None:
         try:
             with np.errstate(call=call, **settings):
                 for lo, hi in todo:
-                    body(lo, hi, *buffers)
-        except BaseException as exc:  # re-raised on the calling thread
+                    body(lo, hi, *arrays)
+        except BaseException as exc:  # re-raised once every thread is joined
             errors.append(exc)
 
     threads = []
     try:
         for k in range(1, procs):
-            buffers = tuple(np.empty_like(a) for a in scratch)
-            threads.append(threading.Thread(target=share, args=(buffers,), name=f"block-{k}"))
+            threads.append(threading.Thread(target=share, args=(scratch(),), name=f"block-{k}"))
             threads[-1].start()
-        for lo, hi in todo:
-            body(lo, hi, *scratch)
+        share(scratch())
     finally:
         for thread in threads:
             thread.join()
@@ -388,36 +376,29 @@ def _part(operand: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
     return operand[lo:hi] if operand.ndim == ndim else operand
 
 
-def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None, blocks=None, held=False):
+def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None):
     """``(t * t).sum(axis=-1)`` for ``t = rows - center``, times ``eta`` if given.
 
     ``rows`` is ``(m, d)`` or ``(R, N, d)``; ``center`` and ``eta`` either
     have its rank (cut with its row blocks) or broadcast whole.  The package's
     one squared row distance: the sums are computed in the row blocks of
-    ``blocks`` (``_blocks(rows.shape)`` unless given; its scratch may be any
-    array holding the largest block), on every usable CPU and without a
-    full-size temporary, with the bits of the whole-array expression.  A second
-    scratch array takes the products; ``held=True`` reuses ``t`` in the first.
+    :func:`_each_block`, on every usable CPU and without a full-size
+    temporary, with the bits of the whole-array expression.
 
     A block of many rows shorter than ``_SHORT_ROW`` is summed by
     :func:`_row_sum`'s column adds, one call per column over the whole block
     instead of numpy's loop over rows: a (200, 8, 4) call takes about 30 us
     instead of 55."""
     out = np.empty(rows.shape[:-1])
-    ranges, scratch, *sq = _blocks(rows.shape) if blocks is None else blocks
-    held = held and bool(sq) and len(ranges) == 1
 
-    def body(lo, hi, buf, sq=None):
-        t = buf[: hi - lo]
-        if not held:
-            np.subtract(rows[lo:hi], _part(center, lo, hi, rows.ndim), out=t)
-        p = np.multiply(t, t if eta is None else _part(eta, lo, hi, rows.ndim),
-                        out=t if sq is None else sq[: hi - lo])
+    def body(lo, hi, buf):
+        t = np.subtract(rows[lo:hi], _part(center, lo, hi, rows.ndim), out=buf[: hi - lo])
         if eta is not None:
-            np.multiply(p, p, out=p)
-        _row_sum(p, out[lo:hi])
+            np.multiply(t, _part(eta, lo, hi, rows.ndim), out=t)
+        np.multiply(t, t, out=t)
+        _row_sum(t, out[lo:hi])
 
-    _each_block(ranges, body, scratch, *sq)
+    _each_block(rows.shape, body)
     return out
 
 

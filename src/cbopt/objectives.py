@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePortfolioError
-from .metaio import _blocks, _each_block, _row_sq, fmt_float, fmt_vector
+from .metaio import _each_block, _row_sq, fmt_float, fmt_vector
 
 __all__ = [
     "Objective",
@@ -150,8 +150,7 @@ def rastrigin(shift, scale: float = 1.0) -> Objective:
             np.add(acc, 10.0, out=acc)
             acc.sum(axis=1, out=out[lo:hi])
 
-        ranges, z_all = _blocks(rows.shape)
-        _each_block(ranges, body, z_all, np.empty_like(z_all))
+        _each_block(rows.shape, body, 2)
         return out
 
     return Objective(batch, f"rastrigin:{fmt_vector(s)};scale={fmt_float(scale)}")

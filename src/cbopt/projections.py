@@ -19,7 +19,7 @@ import numpy as np
 from . import metaio
 from .errors import ConfigurationError, NumericDomainError
 from .metaio import (
-    _all_finite, _blocks, _each_block, _is_int, _row_ranges, _row_sq, fmt_float, fmt_vector,
+    _all_finite, _each_block, _is_int, _row_ranges, _row_sq, fmt_float, fmt_vector,
     parse_vector,
 )
 
@@ -279,8 +279,7 @@ class BallProjector(Projector):
             np.multiply(dev, scale[:, None], out=dev)
             np.add(self.center, dev, out=dev)
 
-        ranges, scratch = _blocks(vs.shape)
-        _each_block(ranges, body, scratch)
+        _each_block(vs.shape, body)
         return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:

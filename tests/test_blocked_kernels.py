@@ -171,9 +171,8 @@ def test_run_norms_match_the_whole_array_expressions(cd, mode, seed):
         eta = values((seed, n, 2), (d,) if mode is NoiseMode.COMMON else (n, d))
         copies = [a.copy() for a in (pos, cons, eta)]
         with block_cells(cells):
-            blocks = metaio._blocks(pos.shape)
-            dist = np.sqrt(metaio._row_sq(pos, cons, blocks=blocks))
-            term = np.sqrt(metaio._row_sq(pos, cons, eta, blocks))
+            dist = np.sqrt(metaio._row_sq(pos, cons))
+            term = np.sqrt(metaio._row_sq(pos, cons, eta))
         want_dist, want_term = norms_reference(pos, cons, eta)
         assert_same_bits(dist, want_dist)
         assert_same_bits(term, want_term)
@@ -193,6 +192,27 @@ def test_init_ensemble_matches_the_whole_array_expression(n, d, seed, init_std):
     rng = np.random.default_rng(seed)
     assert_same_bits(ens.positions, mean + init_std * rng.standard_normal((n, d)))
     assert_same_bits(mean, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_and_width, st.integers(1, 3))
+def test_each_block_cuts_the_rows_at_the_block_edges(cd, buffers):
+    """One range, the whole array, while it fits in a block; else ranges of
+    ``cells // d`` rows (at least one) in order, the last one shorter, and
+    scratch shaped like the first."""
+    cells, d = cd
+    for n in rows_around_a_block(cells, d):
+        calls = []
+        with block_cells(cells):
+            metaio._each_block((n, d), lambda lo, hi, *scratch: calls.append(
+                (lo, hi, [a.shape for a in scratch])), buffers)
+        if n * d <= cells:
+            want = [(0, n)]
+        else:
+            step = max(1, cells // d)
+            want = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        assert [(lo, hi) for lo, hi, _ in calls] == want
+        assert all(shapes == [(want[0][1], d)] * buffers for _, _, shapes in calls)
 
 
 # Shapes around the default block: 7, 8 and 9 rows of 2**17 / 8 cells, and
@@ -215,9 +235,8 @@ def test_default_block_size_edges(n, d):
         assert_same_bits(predictor_step(ens, cons, params, eta),
                          predictor_reference(ens, cons, params, eta))
         want = norms_reference(pos, cons, eta)
-        blocks = metaio._blocks(pos.shape)
-        assert_same_bits(np.sqrt(metaio._row_sq(pos, cons, blocks=blocks)), want[0])
-        assert_same_bits(np.sqrt(metaio._row_sq(pos, cons, eta, blocks)), want[1])
+        assert_same_bits(np.sqrt(metaio._row_sq(pos, cons)), want[0])
+        assert_same_bits(np.sqrt(metaio._row_sq(pos, cons, eta)), want[1])
     proj = ball(cons, 0.5 * math.sqrt(d))
     assert_same_bits(proj.project_rows(pos), ball_reference(proj, pos))
     assert_same_bits(sphere(cons).eval_many(pos), sphere_reference(cons, pos))

@@ -410,6 +410,11 @@ def test_bad_betas_are_an_error_line_before_any_artifact(tmp_path, capsys, sourc
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "betas" in err
+    # The value is named where it came from: the flag, or the file's key.
+    if source == "flag":
+        assert err.startswith("error: --betas='1,abc':") and "config" not in err
+    else:
+        assert err.startswith(f"error: {cfg}: config value betas='1,abc':")
     assert "Traceback" not in err
     assert not (out / "decay.csv").exists()
 

@@ -1,5 +1,5 @@
-"""The BLAS quadratic form and the row-wise writers against the code they
-replaced, which is kept here as the reference."""
+"""The BLAS quadratic form, the row-wise writers and the consensus weights'
+minimum against the code they replaced, which is kept here as the reference."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt.cli import _SVG_CHUNK, _svg_pieces
-from cbopt.core import RunTrace, TraceRecord, trace_csv_header, write_trace_csv
+from cbopt.core import (
+    Ensemble, RunTrace, TraceRecord, consensus_point, trace_csv_header, write_trace_csv,
+)
 from cbopt.errors import ConfigurationError, DegeneratePortfolioError
 from cbopt.market import (
     _FRONTIER_CHUNK,
@@ -304,3 +306,51 @@ def test_mean_has_the_bits_of_np_mean(shape, axis, keepdims):
     want = np.asarray(np.mean(x, axis=axis, keepdims=keepdims))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------ consensus
+
+
+def consensus_reference(ens, beta):
+    """``consensus_point`` with the per-run minimum it took before."""
+    values = ens.objective_values
+    w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
+    return np.matmul(w[..., None, :], ens.positions)[..., 0, :] / w.sum(-1)[..., None]
+
+
+TIES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -2.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+def test_consensus_keeps_the_bits_of_the_per_run_minimum(runs, n, batched, seed, beta):
+    # Values drawn from a few ties, signed zeros among them, and normals.
+    rng = np.random.default_rng(seed)
+    lead = (runs,) if batched else ()
+    values = np.where(rng.random(lead + (n,)) < 0.7, rng.choice(TIES, lead + (n,)),
+                      rng.standard_normal(lead + (n,)))
+    ens = Ensemble(rng.standard_normal(lead + (n, 3)), values)
+    got = consensus_point(ens, beta)
+    assert np.array_equal(got.view(np.uint64), consensus_reference(ens, beta).view(np.uint64))
+    # The minimum itself: the same value, and the same bits unless it is a zero.
+    low = np.minimum.reduce(values.T.copy())[..., None]
+    want = values.min(axis=-1, keepdims=True)
+    assert np.array_equal(low, want)
+    assert np.array_equal(np.where(want == 0.0, 0.0, low).view(np.uint64),
+                          np.where(want == 0.0, 0.0, want).view(np.uint64))
+
+
+@pytest.mark.parametrize("runs, n", [(21, 9), (200, 8), (3, 33), (1, 2)])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e6])
+def test_consensus_keeps_its_bits_when_the_minimum_is_a_signed_zero(runs, n, beta):
+    # Every run's minimum is a zero, mostly a tie of -0.0 and +0.0, which a
+    # minimum taken in another order may resolve to the other zero.
+    rng = np.random.default_rng((runs, n))
+    values = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, 2.5], (runs, n))
+    values[:, 0] = 0.0
+    values[:, -1] = -0.0
+    ens = Ensemble(rng.standard_normal((runs, n, 4)), values)
+    for e in (ens, Ensemble(ens.positions[0], values[0])):
+        got = consensus_point(e, beta)
+        assert np.array_equal(got.view(np.uint64), consensus_reference(e, beta).view(np.uint64))

@@ -1,8 +1,8 @@
 """The one step kernel against the loops it replaced, and the guards it keeps.
 
 ``run``, ``cbo_step`` and ``decay_experiment`` now share ``core._step``,
-whose new ``Ensemble`` checks each step, with one per-run workspace whose
-scratch keeps each step's deviation ``w - c``.  ``run_reference``,
+whose new ``Ensemble`` checks each step; each of a step's kernels computes
+the deviation ``w - c`` again in each of its row blocks.  ``run_reference``,
 ``cbo_step_reference`` and ``decay_reference`` below are the loops before
 that change, frozen, with every kernel written as its whole-array
 expression; every output must keep its bits.
@@ -236,7 +236,9 @@ def test_run_on_a_multi_block_threaded_shape(kind, mode):
     # (100, 6000) is five default row blocks, shared by threads when more
     # than one CPU is usable.
     n, d = 100, 6000
-    assert len(metaio._block_ranges((n, d))) > 1
+    blocks = []
+    metaio._each_block((n, d), lambda lo, hi, scratch: blocks.append(lo))
+    assert len(blocks) > 1
     projector, objective = projector_for(kind, d), objective_for(kind, d)
     params = params_for(n, mode, max_iters=4)
     assert_same_run(run(objective, projector, params), run_reference(objective, projector, params))

@@ -191,10 +191,9 @@ def test_run_norms(cells, cpus, started, mode):
     cons = values((cells, 1), (d,))
     eta = values((cells, 2), (d,) if mode is NoiseMode.COMMON else (n, d))
     copies = [a.copy() for a in (pos, cons, eta)]
-    blocks = metaio._blocks(pos.shape)
     serial, threaded = serial_and_threaded(
-        cpus, started, lambda: (np.sqrt(metaio._row_sq(pos, cons, blocks=blocks)),
-                                np.sqrt(metaio._row_sq(pos, cons, eta, blocks))))
+        cpus, started, lambda: (np.sqrt(metaio._row_sq(pos, cons)),
+                                np.sqrt(metaio._row_sq(pos, cons, eta))))
     want = norms_reference(pos, cons, eta)
     for s, t, w in zip(serial, threaded, want):
         assert_same_bits(t, s)
@@ -241,21 +240,21 @@ def test_pairwise_squares_are_one_whole_array_pass(monkeypatch, cpus, started, b
     com = pos.mean(axis=0)
     before = pos.copy()
     want = pairwise_reference(pos, com)
-    for got in (core._pairwise_sq(pos, com), core._pairwise_sq(pos, com, np.empty(shape)),
-                core.mean_pairwise_sq(pos)):
+    for got in (core._pairwise_sq(pos, com), core.mean_pairwise_sq(pos)):
         assert_same_bits(got, want)
     assert_same_bits(pos, before)
     assert started == []
 
 
-def test_fewer_than_four_blocks_start_no_thread(cpus, started):
+def test_fewer_than_four_blocks_start_no_thread(monkeypatch, cpus, started):
     cpus(3)
     pos = values(0, (8, 4))
     rastrigin(np.zeros(4)).eval_many(pos)
     ball(np.zeros(4), 1.0).project_rows(pos)
     core.mean_pairwise_sq(pos)
+    monkeypatch.setattr(metaio, "_BLOCK_CELLS", 1)  # one row of one cell per block
     seen = []
-    metaio._each_block([(0, 1), (1, 2), (2, 3)], lambda lo, hi: seen.append(lo))
+    metaio._each_block((3, 1), lambda lo, hi, scratch: seen.append(lo))
     assert seen == [0, 1, 2]
     assert started == []
 
@@ -303,6 +302,13 @@ def test_run_does_not_depend_on_the_thread_count(monkeypatch, cpus, started, fam
 # ------------------------------------------------------------ thread hygiene
 
 
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    """Blocks of one cell, so ``_each_block((k, 1), ...)`` hands out k
+    one-row ranges."""
+    monkeypatch.setattr(metaio, "_BLOCK_CELLS", 1)
+
+
 def run_on_a_worker(cpus, block):
     """``_each_block`` over four ranges on two threads; ``block(lo, hi)``
     runs on the worker thread, and the caller waits until the worker has
@@ -317,10 +323,10 @@ def run_on_a_worker(cpus, block):
             taken.set()
             block(lo, hi)
 
-    metaio._each_block([(0, 1), (1, 2), (2, 3), (3, 4)], body, np.empty(1))
+    metaio._each_block((4, 1), body)
 
 
-def test_every_thread_is_joined_before_return(cpus):
+def test_every_thread_is_joined_before_return(cpus, one_row_blocks):
     cpus(3)
     done = np.zeros(6)
 
@@ -329,14 +335,14 @@ def test_every_thread_is_joined_before_return(cpus):
             time.sleep(0.05)
         done[lo:hi] = 1.0
 
-    metaio._each_block([(k, k + 1) for k in range(6)], body, np.empty(1))
+    metaio._each_block((6, 1), body)
     assert threading.active_count() == 1
     assert done.all()
 
 
-def test_each_thread_has_its_own_scratch(cpus):
+def test_each_thread_has_its_own_scratch(cpus, one_row_blocks):
     """Each of the three threads takes one range and waits for the others,
-    so all three take part; the caller's thread uses the scratch passed in."""
+    so all three take part; each keeps its own two arrays for all its ranges."""
     cpus(3)
     together = threading.Barrier(3, timeout=60)
     seen = {}
@@ -348,18 +354,48 @@ def test_each_thread_has_its_own_scratch(cpus):
             together.wait()
         assert seen[name][0] is a and seen[name][1] is b
 
-    scratch = (np.empty(4), np.empty(4))
-    metaio._each_block([(k, k + 1) for k in range(6)], body, *scratch)
+    metaio._each_block((6, 1), body, 2)
     assert len(seen) == 3
-    mine = seen[threading.main_thread().name]
-    assert mine[0] is scratch[0] and mine[1] is scratch[1]
+    assert threading.main_thread().name in seen
     assert len({a.ctypes.data for pair in seen.values() for a in pair}) == 6
 
 
-def test_every_range_runs_once_under_stress(cpus):
+@pytest.mark.parametrize("block, shape, largest, threads", [
+    (None, (23, 11), (23, 11), 1),  # one block: the whole array, inline
+    (6, (11, 3), (2, 3), 3),  # six blocks of 2 rows, the last of 1
+    (30, (13, 2, 5), (3, 2, 5), 2),  # (R, N, d) runs: five blocks of 3 runs, the last of 1
+])
+@pytest.mark.parametrize("buffers", [1, 2])
+def test_scratch_has_the_shape_of_the_largest_block(monkeypatch, cpus, block, shape, largest,
+                                                      threads, buffers):
+    if block is not None:
+        monkeypatch.setattr(metaio, "_BLOCK_CELLS", block)
+    cpus(3)
+    together = threading.Barrier(threads, timeout=60)
+    calls = {}
+
+    def body(lo, hi, *scratch):
+        name = threading.current_thread().name
+        if name not in calls:
+            calls[name] = []
+            together.wait()  # every thread takes part
+        calls[name].append((lo, hi, [a.shape for a in scratch]))
+
+    metaio._each_block(shape, body, buffers)
+    assert len(calls) == threads
+    for thread_calls in calls.values():
+        assert all(got == [largest] * buffers for _, _, got in thread_calls)
+    ranges = sorted((lo, hi) for thread_calls in calls.values() for lo, hi, _ in thread_calls)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == shape[0]
+    assert max(hi - lo for lo, hi in ranges) == largest[0]
+
+
+def test_every_range_runs_once_under_stress(monkeypatch, cpus):
     """More threads than cores, a tiny switch interval, many short ranges: a
     range handed out twice or lost shows in the counts."""
     cpus(8)
+    monkeypatch.setattr(metaio, "_BLOCK_CELLS", 64)  # one 64-cell row per block
     counts = np.zeros(2000, dtype=np.int64)
 
     def body(lo, hi, scratch):
@@ -376,7 +412,7 @@ def test_every_range_runs_once_under_stress(cpus):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            metaio._each_block([(k, k + 1) for k in range(len(counts))], body, np.empty(64))
+            metaio._each_block((len(counts), 64), body)
     finally:
         sys.setswitchinterval(interval)
         signal.alarm(0)
@@ -385,7 +421,7 @@ def test_every_range_runs_once_under_stress(cpus):
     assert threading.active_count() == 1
 
 
-def test_a_worker_exception_reaches_the_caller(cpus):
+def test_a_worker_exception_reaches_the_caller(cpus, one_row_blocks):
     def block(lo, hi):
         raise KeyError(f"block {lo}")
 
@@ -394,7 +430,20 @@ def test_a_worker_exception_reaches_the_caller(cpus):
     assert threading.active_count() == 1
 
 
-def test_workers_run_under_the_callers_error_state(cpus):
+def test_a_caller_exception_is_raised_once_the_workers_are_joined(cpus, one_row_blocks):
+    cpus(3)
+
+    def body(lo, hi, scratch):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyError(f"block {lo}")
+        time.sleep(0.01)
+
+    with pytest.raises(KeyError, match="block"):
+        metaio._each_block((6, 1), body)
+    assert threading.active_count() == 1
+
+
+def test_workers_run_under_the_callers_error_state(cpus, one_row_blocks):
     big = np.full(3, 1e300)
 
     def block(lo, hi):
