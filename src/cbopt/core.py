@@ -258,7 +258,8 @@ def _pairwise_sq(pos: np.ndarray, com: np.ndarray):
 
     The squares are summed over each run's whole ``N*d`` block at once.
     """
-    dev = pos - com
+    dev = np.empty(pos.shape)
+    np.subtract(pos, _part(com, 0, len(pos), pos.ndim, dev), out=dev)
     np.multiply(dev, dev, out=dev)
     sq = dev.reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
     out = 2.0 * sq / (pos.shape[-2] - 1)
@@ -310,8 +311,9 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
     run r's rows are ``default_rng(seeds[r])``'s standard normals, times
     ``init_std``, plus ``mean``.
 
-    All R·N rows are projected in one call, which gives the bits of one
-    call per run because the projection is row-wise.  Each run is then
+    All R·N rows are projected in one call, in place (``out`` is the draw),
+    which gives the bits of one call per run because the projection is
+    row-wise; the array the projector returns is used.  Each run is then
     evaluated by its own ``eval_many`` call, as a lone run would be: a
     batched evaluation is a BLAS call of another shape, whose bits are not
     the same.
@@ -323,7 +325,8 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
         # init_std * z, then mean + that: the bits of the plain expression.
         raw *= init_std
         raw += mean
-        positions = projector.project_rows(raw.reshape(-1, raw.shape[-1])).reshape(raw.shape)
+        flat = raw.reshape(-1, raw.shape[-1])
+        positions = projector.project_rows(flat, out=flat).reshape(raw.shape)
         values = np.empty(raw.shape[:-1])
         for r, pos in enumerate(positions):
             values[r] = objective.eval_many(pos)
@@ -412,16 +415,19 @@ def predictor_step(
     spread = params.sigma * math.sqrt(params.h)
     out = np.empty(pos.shape)
 
-    def body(lo, hi, dev):
-        w, new = pos[lo:hi], out[lo:hi]
-        d = np.subtract(w, _part(consensus, lo, hi, pos.ndim), out=dev[: hi - lo])
+    def body(lo, hi, dev, spare=None):
+        w, new, d = pos[lo:hi], out[lo:hi], dev[: hi - lo]
+        np.subtract(w, _part(consensus, lo, hi, pos.ndim, dev), out=d)
         np.multiply(drift, d, out=new)
         np.subtract(w, new, out=new)
         np.multiply(spread, d, out=d)
-        np.multiply(d, _part(eta, lo, hi, pos.ndim), out=d)
+        np.multiply(d, _part(eta, lo, hi, pos.ndim, spare), out=d)
         np.add(new, d, out=new)
 
-    _each_block(pos.shape, body)
+    # Stacked short rows take a second scratch for the COMMON noise row of
+    # each run, expanded to its particles (see metaio._part).
+    short = pos.ndim == 3 and mode is NoiseMode.COMMON and pos.shape[-1] < _SHORT_ROW
+    _each_block(pos.shape, body, 1 + short)
     return out
 
 
@@ -440,11 +446,15 @@ def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRe
 def _step(ensemble: Ensemble, cons, eta, params: CboParams, projector, objective):
     """Predictor -> corrector -> evaluation, with this step's ``cons`` and
     ``eta``.  R stacked runs are projected and evaluated as one ``(R*N, d)``
-    block.  The projector scans its input (a predictor overflow), and the new
+    block.  Nothing reads the predictor's proposal again, so it is projected
+    in place (``out`` is the proposal) and a step allocates one full-size
+    array, its new positions; the array the projector returns is used.  The
+    projector scans its input (a predictor overflow), and the new
     :class:`Ensemble` checks the values and the positions (a duck-typed
     projector may return NaN)."""
     raw = predictor_step(ensemble, cons, params, eta)
-    positions = projector.project_rows(raw.reshape(-1, raw.shape[-1]))
+    flat = raw.reshape(-1, raw.shape[-1])
+    positions = projector.project_rows(flat, out=flat)
     values = objective.eval_many(positions)
     return Ensemble(np.reshape(positions, raw.shape), np.reshape(values, raw.shape[:-1]),
                     ensemble.iteration + 1)

@@ -49,13 +49,39 @@ def _as_rows(vs, dim: int) -> np.ndarray:
     return arr
 
 
+def _out_rows(vs: np.ndarray, out) -> np.ndarray:
+    """The array ``project_rows(vs, out)`` writes: a new one for ``out=None``,
+    else ``out`` once it is a writeable C-contiguous float64 array of
+    ``vs``'s shape that is ``vs`` itself (the same elements) or shares no
+    memory with it."""
+    if out is None:
+        return np.empty(vs.shape)
+    if not (isinstance(out, np.ndarray) and out.shape == vs.shape and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ConfigurationError(
+            f"out must be a writeable C-contiguous float64 array of shape {vs.shape}"
+        )
+    if (out is not vs and np.shares_memory(out, vs)
+            and (out.ctypes.data, out.strides) != (vs.ctypes.data, vs.strides)):
+        raise ConfigurationError("out overlaps the input rows without being them")
+    return out
+
+
 class Projector:
     """Exact Euclidean projection onto a nonempty closed convex set."""
 
     dim: int
 
-    def project_rows(self, vs) -> np.ndarray:
-        """Project each row of an ``(m, dim)`` array onto the set."""
+    def project_rows(self, vs, out=None) -> np.ndarray:
+        """Project each row of an ``(m, dim)`` array onto the set.
+
+        As in numpy, the rows are written to ``out`` and it is returned:
+        ``None`` allocates it, and ``out=vs`` projects in place.  ``out``
+        must be a writeable C-contiguous float64 ``(m, dim)`` array that is
+        ``vs`` or shares no memory with it.  A duck-typed projector may
+        ignore ``out`` and return a new array, so a caller uses the array
+        returned.
+        """
         raise NotImplementedError
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
@@ -148,8 +174,9 @@ class SimplexProjector(Projector):
         operations on their ``(d, m)`` transpose, with no per-row loop: an
         insertion network of compare-exchanges (``maximum``/``minimum``) sorts the
         columns descending, the same multiset in the same order, and each
-        partial sum, threshold and ``u > t`` is one call over all rows.  Writes
-        ``max(v - theta, 0)`` to ``out`` and returns ``theta`` and ``u_1``."""
+        partial sum, threshold and ``u > t`` is one call over all rows.  Takes
+        the rows to redo (:meth:`_redo_rows`), then writes ``max(v - theta, 0)``
+        to ``out``, which may be ``v``, and returns them."""
         d = self.dim
         vt = np.array(v.T)
         cols, spare = list(vt.copy()), np.empty(len(v))
@@ -169,38 +196,43 @@ class SimplexProjector(Projector):
         theta = t[0]
         for k in range(1, d):
             theta = np.where(cols[k] > t[k], t[k], theta)
+        redo = self._redo_rows(v, cols[0], theta, self._exact_below[0])
         vt -= theta
         np.maximum(vt, 0.0, out=vt)
         out[...] = vt.T
-        return theta, cols[0]
+        return redo
+
+    @staticmethod
+    def _redo_rows(v, top, theta, bound):
+        """Indices and values of the rows of ``v`` to project again: those with
+        ``max(|u_1|, |theta|) >= bound``, for ``top`` = u_1.  theta < u_1 at a
+        valid column, and a row with none has |u_1| >= 2**53.  fmax skips a
+        NaN theta, which needs u_1 >= 1.8e308/d.  The values are taken before
+        ``out``, which may be ``v``, is written."""
+        idx = np.flatnonzero(np.fmax(top, -theta) >= bound)
+        return idx, v[idx]
 
     def _project_block(self, v, out):
         if self._column_rows is not None and len(v) >= self._column_rows:
-            theta, top = self._column_thresholds(v, out)
-            bound = self._exact_below[0]
+            idx, w = self._column_thresholds(v, out)
         else:
             u, t, valid = self._thresholds(v)
             last = valid[:, ::-1].argmax(1)
             # t at the last valid column: its bits are (css - 1)/(k + 1).
             theta = t.reshape(-1)[np.arange(self.dim - 1, t.size, self.dim) - last]
+            idx, w = self._redo_rows(v, u[:, 0], theta, self._exact_below[last])
             np.subtract(v, theta[:, None], out=out)
             np.maximum(out, 0.0, out=out)
-            top, bound = u[:, 0], self._exact_below[last]
-        # max(|u_1|, |theta|): theta < u_1 at a valid column, and a row with none
-        # has |u_1| >= 2**53.  fmax skips a NaN theta, which needs u_1 >= 1.8e308/d.
-        redo = np.fmax(top, -theta) >= bound
-        if not np.count_nonzero(redo):
+        if not len(idx):
             return
-        idx = np.flatnonzero(redo)
-        w = v[idx]
         w -= w.max(axis=1, keepdims=True)
         u, t, valid = self._thresholds(w)
         k = np.logical_and.accumulate(valid, axis=1).sum(axis=1) - 1
         out[idx] = np.maximum(w - t[np.arange(len(idx)), k][:, None], 0.0)
 
-    def project_rows(self, vs) -> np.ndarray:
+    def project_rows(self, vs, out=None) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
-        out = np.empty(vs.shape)
+        out = _out_rows(vs, out)
         cells = metaio._BLOCK_CELLS // 4
         # Huge rows may overflow their partial sums or v - max(v); they are
         # the rows _project_block redoes.
@@ -234,10 +266,13 @@ class BoxProjector(Projector):
         self.dim = lo.shape[0]
         self._unbounded = bool(np.all(lo == -np.inf) and np.all(hi == np.inf))
 
-    def project_rows(self, vs) -> np.ndarray:
+    def project_rows(self, vs, out=None) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
-        # The clip onto R^d gives the bits of a copy, -0.0 included.
-        return vs.copy() if self._unbounded else np.clip(vs, self.lo, self.hi)
+        out = _out_rows(vs, out)
+        if self._unbounded:  # the clip onto R^d gives the bits of a copy, -0.0 included
+            np.copyto(out, vs)
+            return out
+        return np.clip(vs, self.lo, self.hi, out=out)
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
@@ -252,7 +287,10 @@ class BallProjector(Projector):
 
     Rows are projected in blocks, on every usable CPU, by in-place ufuncs,
     with the bits of the whole-array expression ``center + dev * scale``
-    for ``dev = v - center``.
+    for ``dev = v - center``.  A row whose sum of squares overflows or falls
+    below the smallest normal float (its norm is then wrong), or whose
+    ``scale`` does (its product is then wrong), is moved by its max-scaled
+    norm instead (:func:`_onto_sphere`).
     """
 
     def __init__(self, center, radius: float):
@@ -266,20 +304,25 @@ class BallProjector(Projector):
         self.radius = radius
         self.dim = center.shape[0]
 
-    def project_rows(self, vs) -> np.ndarray:
+    def project_rows(self, vs, out=None) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
-        out = np.empty(vs.shape)
+        out = _out_rows(vs, out)
 
         def body(lo, hi, scratch):
             dev = np.subtract(vs[lo:hi], self.center, out=out[lo:hi])
-            sq = np.multiply(dev, dev, out=scratch[: hi - lo])
-            dist = np.sqrt(sq.sum(axis=1))
+            sq = np.multiply(dev, dev, out=scratch[: hi - lo]).sum(axis=1)
+            dist = np.sqrt(sq)
             scale = np.ones_like(dist)
             np.divide(self.radius, dist, out=scale, where=dist > self.radius)
+            odd = np.flatnonzero((sq < _TINY) | (sq == np.inf) | (scale < _TINY))
+            if odd.size:
+                dev[odd] = _onto_sphere(dev[odd], self.radius)
+                scale[odd] = 1.0
             np.multiply(dev, scale[:, None], out=dev)
             np.add(self.center, dev, out=dev)
 
-        _each_block(vs.shape, body)
+        with np.errstate(over="ignore"):  # an overflowing sum of squares is redone
+            _each_block(vs.shape, body)
         return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
@@ -287,6 +330,24 @@ class BallProjector(Projector):
 
     def describe(self) -> str:
         return f"ball:{fmt_vector(self.center)},{fmt_float(self.radius)}"
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _onto_sphere(dev: np.ndarray, radius: float) -> np.ndarray:
+    """Rows ``dev`` outside the ball of ``radius`` about 0 moved onto its
+    sphere, and the others as they are, with no square that overflows or
+    underflows: a row's norm is its largest magnitude ``big`` times
+    ``norm``, the norm of ``dev / big`` (in [1, sqrt(d)]), and a moved row
+    is ``(dev / big) * (radius / norm)``."""
+    big = np.abs(dev).max(axis=1, keepdims=True)
+    big[big == 0.0] = 1.0  # a zero row stays
+    unit = dev / big
+    norm = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
+    # norm * big > radius, without the product's overflow
+    outside = norm > radius / big
+    return np.where(outside, unit * (radius / np.where(outside, norm, 1.0)), dev)
 
 
 def simplex(dim: int) -> SimplexProjector:

@@ -6,7 +6,9 @@ float64 values: the simplex corrector (``SimplexProjector._column_thresholds``,
 from ``16 * d**2`` rows on), the row sums of ``metaio._row_sq`` (from
 ``4 * d**2`` rows on) and the ``(R, N, d)`` center of mass of
 ``core._center_of_mass``.  Each must give the
-bits of the numpy row reductions it stands in for, on every input.
+bits of the numpy row reductions it stands in for, on every input.  The
+stacked step's ufuncs with a per-run ``(R, 1, d)`` operand copy it to every
+particle's row first (``metaio._part``), with the bits of the broadcast.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbopt import metaio, simplex
+from cbopt import CboParams, Ensemble, NoiseMode, metaio, predictor_step, simplex
 from cbopt.core import _center_of_mass, mean_pairwise_sq
 from cbopt.metaio import _row_sq
 
@@ -177,3 +179,33 @@ def test_the_center_of_mass_keeps_the_reduction_bits(d, runs, n):
         dev = pos - want
         dev *= dev
         assert_same_bits(mean_pairwise_sq(pos), 2.0 * dev.reshape(runs, -1).sum(-1) / (n - 1))
+
+
+@pytest.mark.parametrize("d", [1, 4, 7, 8])
+@pytest.mark.parametrize("runs, n", [(200, 8), (3, 30), (5, 2)])
+@pytest.mark.parametrize("cells", [None, 40])  # None: one block; 40: threaded blocks
+def test_expanded_run_operands_keep_the_broadcast_bits(d, runs, n, cells, monkeypatch):
+    # Rows shorter than _SHORT_ROW copy each run's (1, d) operand row to its
+    # n particles before the ufunc; 8 values keep the broadcast.
+    if cells is not None:
+        monkeypatch.setattr(metaio, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(metaio, "usable_cpus", lambda: 3)
+    expanded = []
+    take = metaio._run_rows
+    monkeypatch.setattr(metaio, "_run_rows", lambda m, k: expanded.append(m) or take(m, k))
+    rng = np.random.default_rng((d, runs, n))
+    pos = rng.standard_normal((runs, n, d)) * 10.0 ** rng.integers(-8, 9, (runs, n, d))
+    cons = rng.standard_normal((runs, d))
+    eta = rng.standard_normal((runs, d))
+    t = pos - cons[:, None, :]
+    assert_same_bits(_row_sq(pos, cons[:, None, :]), (t * t).sum(axis=-1))
+    params = CboParams(lam=1.0, sigma=0.7, beta=1.0, h=0.1, n_particles=n,
+                       noise_mode=NoiseMode.COMMON)
+    drift, spread = params.lam * params.h, params.sigma * np.sqrt(params.h)
+    want = pos - drift * t + spread * t * eta[:, None, :]
+    assert_same_bits(predictor_step(Ensemble(pos, np.zeros((runs, n))), cons, params, eta), want)
+    com = np.add.reduce(pos, axis=-2, keepdims=True) / n
+    dev = pos - com
+    dev *= dev
+    assert_same_bits(mean_pairwise_sq(pos), 2.0 * dev.reshape(runs, -1).sum(-1) / (n - 1))
+    assert bool(expanded) == (d < metaio._SHORT_ROW)

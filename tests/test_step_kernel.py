@@ -296,9 +296,9 @@ class NanAfter:
     def __init__(self, d, calls):
         self.inner, self.dim, self.calls = simplex(d), d, calls
 
-    def project_rows(self, vs):
+    def project_rows(self, vs, out=None):
         self.calls -= 1
-        out = self.inner.project_rows(vs)
+        out = self.inner.project_rows(vs, out=out)
         return out if self.calls >= 0 else np.full_like(out, np.nan)
 
     def project(self, v):
