@@ -12,7 +12,7 @@ that read it, and argparse, config parsing and the echo all follow it.
 Only the execution-only arguments live outside it: ``--config``,
 ``--out``, ``--workers`` and ingest's ``prices`` path.  They are never
 echoed, so artifacts stay byte-identical across worker counts and output
-locations.
+locations.  ``--workers N`` caps every thread and process at N CPUs.
 
 All artifacts land inside the ``--out`` directory; nothing is written
 anywhere else.  Exit status is 0 on success, 1 on any library error, and
@@ -29,12 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, diagnostics, market, objectives, projections
+from . import baseline, diagnostics, market, metaio, objectives, projections
 from .core import CboParams, NoiseMode, init_ensemble, run, write_trace_csv
 from .errors import CbOptError, ConfigurationError
 from .metaio import (
-    _fmt_2f_rows, fmt_float, fmt_vector, format_metadata, parse_metadata, usable_cpus,
-    write_metadata,
+    _fmt_2f_rows, fmt_float, fmt_vector, format_metadata, parse_metadata, write_metadata,
 )
 
 
@@ -282,7 +281,7 @@ def cmd_solve(args) -> int:
         errors = diagnostics.error_trace(result.trace, reference)
         diagnostics.write_error_csv(result.trace.iterations(), errors, out / "error_trace.csv")
 
-    write_trace_csv(result.trace, out / "trace.csv", workers=args.workers or usable_cpus())
+    write_trace_csv(result.trace, out / "trace.csv")
     _write_meta(out, "solve", cfg, objective, projector, reference)
 
     final = result.trace.records[-1]
@@ -319,7 +318,7 @@ def cmd_frontier(args) -> int:
     cbo_seed, cloud_seed = _derived_seeds(cfg["seed"], 2)
 
     cloud = market.sample_frontier(stats, cfg["samples"], cloud_seed)
-    market.write_frontier_csv(cloud, out / "frontier.csv", workers=args.workers or usable_cpus())
+    market.write_frontier_csv(cloud, out / "frontier.csv")
 
     params = _cbo_params(cfg, cbo_seed)
     result = run(objective, projector, params, init_std=cfg["init_std"])
@@ -493,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: current)")
         sp.add_argument(
             "--workers", type=int,
-            help="cap on the processes that format trace.csv and frontier.csv "
-                 "(default: usable CPUs; 1 never forks)",
+            help="cap on the CPUs the command's threads and formatter processes use "
+                 "(default: usable CPUs; 1 runs serially)",
         )
         if name == "ingest":
             sp.add_argument("prices", help="path to the prices CSV")
@@ -513,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cap = metaio._CPU_CAP.set(args.workers)
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
@@ -523,6 +523,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's names the array it could not allocate
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
+    finally:
+        metaio._CPU_CAP.reset(cap)
 
 
 if __name__ == "__main__":  # pragma: no cover

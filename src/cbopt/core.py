@@ -547,13 +547,12 @@ def trace_csv_header(dim: int) -> str:
     return ",".join(cols)
 
 
-def write_trace_csv(trace: RunTrace, path, workers: int = 1) -> None:
+def write_trace_csv(trace: RunTrace, path) -> None:
     """Persist a trace as CSV with full round-trip float precision.
 
     The ``err_ref`` field is left empty for records with no reference
-    error attached.  Large traces are formatted on up to ``workers``
-    processes (capped at the usable CPUs); the bytes are the same for every
-    ``workers``.
+    error attached.  Large traces are formatted on up to one process per
+    usable CPU; the bytes are the same for every CPU count.
     """
     if not trace.records:
         raise ConfigurationError("cannot write an empty trace")
@@ -563,4 +562,4 @@ def write_trace_csv(trace: RunTrace, path, workers: int = 1) -> None:
         [r.best_value for r in recs], [r.consensus for r in recs], trace.centers_of_mass(),
         trace.a_values(), trace.b_values(),
         ["" if r.err_ref is None else fmt_float(r.err_ref) for r in recs],
-    ], workers)
+    ])

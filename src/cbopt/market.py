@@ -319,16 +319,15 @@ def cml(rf: float, tangency: tuple[float, float]) -> tuple[float, float]:
     return float(rf), (ret - float(rf)) / risk
 
 
-def write_frontier_csv(cloud: FrontierCloud, path, workers: int = 1) -> None:
+def write_frontier_csv(cloud: FrontierCloud, path) -> None:
     """``risk,ret,sharpe,w1,...,wd`` rows at full precision.
 
-    The columns are stacked and formatted one piece of rows at a time, so
-    neither the whole block nor its text is held at once.  Large clouds are
-    formatted on up to ``workers`` processes (capped at the usable CPUs);
-    the bytes are the same for every ``workers``.
+    The columns are stacked and formatted one piece of rows at a time, on
+    up to one process per usable CPU, so neither the whole block nor its
+    text is held at once; the bytes do not depend on the CPU count.
     """
     header = "risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(cloud.weights.shape[1]))
-    _write_csv(path, header, [cloud.risk, cloud.ret, cloud.sharpe, cloud.weights], workers)
+    _write_csv(path, header, [cloud.risk, cloud.ret, cloud.sharpe, cloud.weights])
 
 
 def format_stats(stats: MarketStats) -> str:

@@ -17,7 +17,7 @@ which formats a large one in pieces on several forked processes
 row ranges (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)``
 arrays into cache-sized blocks: :func:`_each_block` runs a kernel's blocks
 on short-lived threads, up to one per usable CPU, each with its own scratch,
-joined before it returns.
+joined before it returns.  Both count CPUs by :func:`usable_cpus` alone.
 Every block keeps its operands and ufunc order, so the bits do not depend
 on the number of threads.  :func:`_row_sq`, the squared distance of each
 row to a center, is the kernel of every distance the package reports (the
@@ -28,6 +28,7 @@ values column by column (:func:`_row_sum`), with numpy's bits.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -62,13 +63,16 @@ _BLOCK_CELLS = 1 << 17
 # adds its values in order, so d - 1 whole-column adds give the same bits.
 _SHORT_ROW = 8
 
+_CPU_CAP = contextvars.ContextVar("cpu_cap", default=None)  # cli.main's --workers
+
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    """CPUs this process may run on (affinity mask, else CPU count), at most ``_CPU_CAP``."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _CPU_CAP.get() or cpus)
 
 
 def fmt_float(x) -> str:
@@ -282,20 +286,19 @@ def _table_rows(cols, lo: int, hi: int) -> bytes:
     return b"\n".join(itertools.chain(map(b",".join, zip(*cells)), [b""]))
 
 
-def _write_csv(path, header: str, columns, workers: int = 1) -> None:
+def _write_csv(path, header: str, columns) -> None:
     """Write ``header`` and the :func:`_table_rows` of ``columns``; rows stop
     at the shortest column.
 
     The rows are rendered in pieces of about ``_PIECE_CELLS`` float cells
-    on up to ``workers`` processes (:func:`_pieces`, capped at the usable
-    CPUs); the bytes are the same for every ``workers``, and go to the file
-    as they are.  The header is flushed before the first piece is drawn,
-    so no forked child inherits unwritten output.
+    on up to one process per usable CPU (:func:`_pieces`), and go to the
+    file as bytes that do not depend on the CPU count.  The header is
+    flushed first, so no forked child inherits unwritten output.
     """
     cols = [np.asarray(col) for col in columns]
     rows = min(len(col) for col in cols)
     row_cells = sum(math.prod(col.shape[1:]) for col in cols if col.dtype.kind not in "Ub")
-    pieces = _pieces(rows, row_cells, lambda lo, hi: _table_rows(cols, lo, hi), workers)
+    pieces = _pieces(rows, row_cells, lambda lo, hi: _table_rows(cols, lo, hi))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         fh.flush()
@@ -475,22 +478,19 @@ def _all_finite(arr: np.ndarray) -> bool:
     return math.isfinite(total) or bool(np.isfinite(arr).all())
 
 
-def _pieces(n_rows: int, row_cells: int, render, workers: int):
+def _pieces(n_rows: int, row_cells: int, render):
     """``render(lo, hi)`` for consecutive row ranges of ``n_rows``, in row order.
 
     Each range holds about ``_PIECE_CELLS`` cells (at least one row of
     ``row_cells``).  Piece i is rendered by process i mod P, where P is
-    ``min(workers, pieces, usable_cpus())``: process 0 is the caller and the
-    others are forked children, so ``render`` may be any closure.  P is 1,
-    and nothing forks, without ``os.fork`` or while other threads run.
+    ``min(pieces, usable_cpus())``: process 0 is the caller and the others
+    are forked children, so ``render`` may be any closure.  P is 1, and
+    nothing forks, without ``os.fork`` or while other threads run.
     ``render`` must return deterministic bytes; they are then the same for
-    every ``workers``.  The one caller, :func:`_write_csv`, flushes its file
-    before drawing the first piece, so no child inherits unwritten output.
+    every P.  A caller flushes its open files first (:func:`_write_csv`).
     """
-    if not _is_int(workers) or workers < 1:
-        raise ConfigurationError("workers must be a positive integer")
     bounds = _row_ranges(n_rows, row_cells, _PIECE_CELLS)
-    procs = min(workers, len(bounds), usable_cpus())
+    procs = min(len(bounds), usable_cpus())
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
         return (render(lo, hi) for lo, hi in bounds)
     return _forked_pieces(bounds, procs, render)

@@ -10,7 +10,7 @@ beta locks onto it.
 import numpy as np
 import pytest
 
-from cbopt import estimate_stats, log_returns, synthetic_market
+from cbopt import estimate_stats, log_returns, metaio, synthetic_market
 
 MARKET_SEED = 20190103
 MARKET_ROWS = 300
@@ -35,3 +35,13 @@ def make_market_stats(rf: float = 0.0):
 @pytest.fixture(scope="session")
 def market3():
     return make_market_stats()
+
+
+@pytest.fixture
+def cap():
+    """``cap(k)`` caps ``metaio.usable_cpus()`` at k, as ``--workers k`` does
+    for a CLI command, until the test ends; ``cap(None)`` lifts the cap."""
+    tokens = []
+    yield lambda k: tokens.append(metaio._CPU_CAP.set(k))
+    for token in reversed(tokens):
+        metaio._CPU_CAP.reset(token)

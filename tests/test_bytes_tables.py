@@ -88,8 +88,10 @@ def test_table_rows_are_the_bytes_of_the_str_renderer(shape):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_write_csv_writes_the_bytes_of_the_str_renderer(tmp_path, monkeypatch, shape, workers):
+def test_write_csv_writes_the_bytes_of_the_str_renderer(tmp_path, monkeypatch, cap, shape,
+                                                          workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cap(workers)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     probe = SHAPES[shape](np.random.default_rng(4), 1)
@@ -97,7 +99,7 @@ def test_write_csv_writes_the_bytes_of_the_str_renderer(tmp_path, monkeypatch, s
     pieces = 2 * (metaio._PIECE_CELLS // max(1, row_cells(probe))) + 3
     for rows in (0, 1, pieces):
         cols = SHAPES[shape](np.random.default_rng(4), rows)
-        _write_csv(tmp_path / "t.csv", "h1,h2", cols, workers)
+        _write_csv(tmp_path / "t.csv", "h1,h2", cols)
         want = "h1,h2\n" + old_table_rows(cols, 0, rows)
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
     assert len(forks) == workers - 1

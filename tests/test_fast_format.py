@@ -150,15 +150,16 @@ def test_several_kernel_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, max(2, usable_cpus())])
-def test_write_csv_matches_repr_for_every_worker_count(tmp_path, monkeypatch, workers):
+def test_write_csv_matches_repr_for_every_worker_count(tmp_path, monkeypatch, cap, workers):
     if workers > 1:  # let any host fork: the bytes must not depend on it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
                             raising=False)
+    cap(workers)
     rng = np.random.default_rng(11)
     rows = 3 * metaio._PIECE_CELLS // 6 + 17
     block = random_bits(rng, rows * 5, (1007, 1078)).reshape(rows, 5)
     labels = np.array([f"r{i}" for i in range(rows)])
-    _write_csv(tmp_path / "t.csv", "id,a,b,c,d,e", [labels, block[:, 0], block[:, 1:]], workers)
+    _write_csv(tmp_path / "t.csv", "id,a,b,c,d,e", [labels, block[:, 0], block[:, 1:]])
     want = "id,a,b,c,d,e\n" + "".join(
         f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(block.tolist())
     )

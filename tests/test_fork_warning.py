@@ -71,13 +71,15 @@ def trace_of(n: int) -> RunTrace:
     ])
 
 
-def test_trace_writer_keeps_its_children_when_fork_warns(tmp_path, warning_fork):
+def test_trace_writer_keeps_its_children_when_fork_warns(tmp_path, warning_fork, cap):
     trace = trace_of(40)
-    write_trace_csv(trace, tmp_path / "one.csv", workers=1)
+    cap(1)
+    write_trace_csv(trace, tmp_path / "one.csv")
     assert warning_fork == []
+    cap(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_trace_csv(trace, tmp_path / "three.csv", workers=3)
+        write_trace_csv(trace, tmp_path / "three.csv")
     assert len(warning_fork) == 2
     assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert no_children_left()

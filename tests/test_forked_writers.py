@@ -2,9 +2,10 @@
 
 ``metaio._pieces`` splits a float block into pieces of about
 ``_PIECE_CELLS`` cells; process 0 (the caller) and forked children format
-them in turn.  Every test here compares against ``workers=1``, counts the
-real ``os.fork`` calls, and runs under a deadline so a hung pipe fails
-instead of stalling the suite.
+them in turn, one process per usable CPU.  Every test here compares
+against one process (a cap of 1, as ``--workers 1`` sets), counts the real
+``os.fork`` calls, and runs under a deadline so a hung pipe fails instead
+of stalling the suite.
 """
 
 import os
@@ -100,14 +101,16 @@ def n_pieces(rows: int, row_cells: int) -> int:
 @pytest.mark.parametrize(
     "n", [0, 1, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 3 * PIECE_ROWS + 1]
 )
-def test_frontier_csv_bytes_do_not_depend_on_workers(tmp_path, forks, n):
+def test_frontier_csv_bytes_do_not_depend_on_workers(tmp_path, forks, cap, n):
     cloud = cloud_of(n)
+    cap(1)
     write_frontier_csv(cloud, tmp_path / "one.csv")
     assert forks == []
     want = (tmp_path / "one.csv").read_bytes()
     for workers in (2, 3):
         forks.clear()
-        write_frontier_csv(cloud, tmp_path / f"w{workers}.csv", workers=workers)
+        cap(workers)
+        write_frontier_csv(cloud, tmp_path / f"w{workers}.csv")
         assert len(forks) == max(0, min(workers, n_pieces(n, D + 3)) - 1)
         assert (tmp_path / f"w{workers}.csv").read_bytes() == want
     assert no_children_left()
@@ -121,13 +124,16 @@ def test_frontier_csv_bytes_do_not_depend_on_workers(tmp_path, forks, n):
         (2 * (PIECE // 11) + 5, 3),  # narrow rows, many rows per piece
     ],
 )
-def test_trace_csv_bytes_do_not_depend_on_workers(tmp_path, forks, n, d):
+def test_trace_csv_bytes_do_not_depend_on_workers(tmp_path, forks, cap, n, d):
     trace = trace_of(n, d)
+    cap(1)
     write_trace_csv(trace, tmp_path / "one.csv")
+    assert forks == []
     want = (tmp_path / "one.csv").read_bytes()
     for workers in (2, 3):
         forks.clear()
-        write_trace_csv(trace, tmp_path / f"w{workers}.csv", workers=workers)
+        cap(workers)
+        write_trace_csv(trace, tmp_path / f"w{workers}.csv")
         assert len(forks) == min(workers, n_pieces(n, 2 * d + 5)) - 1
         assert (tmp_path / f"w{workers}.csv").read_bytes() == want
     assert no_children_left()
@@ -145,10 +151,11 @@ def fail_in_children(monkeypatch):
     monkeypatch.setattr(metaio, "_fmt_block", fmt_block)
 
 
-def test_a_child_that_raises_makes_the_parent_raise(tmp_path, forks, monkeypatch):
+def test_a_child_that_raises_makes_the_parent_raise(tmp_path, forks, cap, monkeypatch):
     fail_in_children(monkeypatch)
+    cap(2)
     with pytest.raises(OSError, match="formatter process"):
-        write_frontier_csv(cloud_of(3 * PIECE_ROWS), tmp_path / "x.csv", workers=2)
+        write_frontier_csv(cloud_of(3 * PIECE_ROWS), tmp_path / "x.csv")
     assert len(forks) == 1
     assert no_children_left()
 
@@ -168,36 +175,41 @@ def test_a_child_that_raises_is_an_error_line_from_the_cli(tmp_path, forks, monk
     assert no_children_left()
 
 
-def test_stopping_early_reaps_children_blocked_on_a_full_pipe(forks):
+def test_stopping_early_reaps_children_blocked_on_a_full_pipe(forks, cap):
     block = cells(np.random.default_rng(5), (4 * PIECE_ROWS, D + 3))
 
     def render(lo, hi):
         return metaio._fmt_block(block[lo:hi]) + b"\n"
 
-    pieces = metaio._pieces(len(block), D + 3, render, 3)
+    cap(3)
+    pieces = metaio._pieces(len(block), D + 3, render)
     assert next(pieces) == render(0, PIECE_ROWS)
     pieces.close()  # children hold ~1.3 MB pieces against a 64 kB pipe
     assert len(forks) == 2
     assert no_children_left()
 
 
-def test_without_fork_the_same_bytes_come_from_one_process(tmp_path, monkeypatch):
+def test_without_fork_the_same_bytes_come_from_one_process(tmp_path, monkeypatch, cap):
     cloud = cloud_of(3 * PIECE_ROWS + 1)
+    cap(1)
     write_frontier_csv(cloud, tmp_path / "one.csv")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.delattr(os, "fork")
-    write_frontier_csv(cloud, tmp_path / "w3.csv", workers=3)
+    cap(3)
+    write_frontier_csv(cloud, tmp_path / "w3.csv")
     assert (tmp_path / "w3.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
-def test_nothing_forks_while_another_thread_runs(tmp_path, forks):
+def test_nothing_forks_while_another_thread_runs(tmp_path, forks, cap):
     cloud = cloud_of(3 * PIECE_ROWS + 1)
+    cap(1)
     write_frontier_csv(cloud, tmp_path / "one.csv")
+    cap(None)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        write_frontier_csv(cloud, tmp_path / "w3.csv", workers=3)
+        write_frontier_csv(cloud, tmp_path / "w3.csv")
     finally:
         release.set()
         other.join(timeout=60)
@@ -206,11 +218,13 @@ def test_nothing_forks_while_another_thread_runs(tmp_path, forks):
     assert (tmp_path / "w3.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
-def test_processes_are_capped_at_the_usable_cpus(tmp_path, forks, monkeypatch):
-    # 4 pieces bound the forks even if the cap were lost
+def test_processes_are_capped_at_the_usable_cpus(tmp_path, forks, cap, monkeypatch):
+    # 4 pieces bound the forks even if the cap were lost; a --workers above
+    # the host's CPUs does not raise it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cap(8)
     assert metaio.usable_cpus() == 2
-    write_frontier_csv(cloud_of(4 * PIECE_ROWS), tmp_path / "x.csv", workers=8)
+    write_frontier_csv(cloud_of(4 * PIECE_ROWS), tmp_path / "x.csv")
     assert len(forks) == 1
     assert no_children_left()
 
@@ -219,14 +233,6 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert metaio.usable_cpus() == 3
-
-
-@pytest.mark.parametrize("workers", [0, -1, 1.5])
-def test_writers_reject_a_bad_worker_count(tmp_path, workers):
-    with pytest.raises(ValueError, match="workers"):
-        write_frontier_csv(cloud_of(2), tmp_path / "x.csv", workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        write_trace_csv(trace_of(2, 2), tmp_path / "t.csv", workers=workers)
 
 
 def test_importing_the_cli_loads_no_process_or_thread_pool():

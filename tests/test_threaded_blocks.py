@@ -507,7 +507,7 @@ def test_an_overflowing_ensemble_is_still_finite():
 # ------------------------------------------------------------ forked writers
 
 
-def test_trace_writer_still_forks_after_a_threaded_run(monkeypatch, tmp_path, cpus, started):
+def test_trace_writer_still_forks_after_a_threaded_run(monkeypatch, tmp_path, cpus, cap, started):
     monkeypatch.setattr(metaio, "_BLOCK_CELLS", 20)
     monkeypatch.setattr(metaio, "_PIECE_CELLS", 64)
     cpus(3)
@@ -521,8 +521,10 @@ def test_trace_writer_still_forks_after_a_threaded_run(monkeypatch, tmp_path, cp
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    write_trace_csv(result.trace, tmp_path / "one.csv", workers=1)
+    cap(1)
+    write_trace_csv(result.trace, tmp_path / "one.csv")
     assert forks == []
-    write_trace_csv(result.trace, tmp_path / "three.csv", workers=3)
+    cap(3)
+    write_trace_csv(result.trace, tmp_path / "three.csv")
     assert len(forks) == 2
     assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
