@@ -290,7 +290,9 @@ class BallProjector(Projector):
     for ``dev = v - center``.  A row whose sum of squares overflows or falls
     below the smallest normal float (its norm is then wrong), or whose
     ``scale`` does (its product is then wrong), is moved by its max-scaled
-    norm instead (:func:`_onto_sphere`).
+    norm instead (:func:`_onto_sphere`).  ``v - center`` itself overflows
+    only on a center coordinate of 2**970 or more; such a row is found
+    before ``out`` is written and moved along ``v / 2 - center / 2``.
     """
 
     def __init__(self, center, radius: float):
@@ -303,18 +305,30 @@ class BallProjector(Projector):
         self.center = center
         self.radius = radius
         self.dim = center.shape[0]
+        # Below 2**970, half an ulp of the largest float, |v - c| rounds to
+        # a finite value for every finite v.
+        self._far = np.flatnonzero(np.abs(center) >= 2.0**970)
 
     def project_rows(self, vs, out=None) -> np.ndarray:
         vs = _as_rows(vs, self.dim)
         out = _out_rows(vs, out)
 
         def body(lo, hi, scratch):
+            if self._far.size:  # rows whose v - c overflows, halved while v is whole
+                c = self.center[self._far]
+                huge = np.flatnonzero(np.isinf(vs[lo:hi, self._far] - c).any(axis=1))
+                halves = vs[lo + huge] / 2 - self.center / 2
             dev = np.subtract(vs[lo:hi], self.center, out=out[lo:hi])
             sq = np.multiply(dev, dev, out=scratch[: hi - lo]).sum(axis=1)
             dist = np.sqrt(sq)
             scale = np.ones_like(dist)
             np.divide(self.radius, dist, out=scale, where=dist > self.radius)
-            odd = np.flatnonzero((sq < _TINY) | (sq == np.inf) | (scale < _TINY))
+            odd = (sq < _TINY) | (sq == np.inf) | (scale < _TINY)
+            if self._far.size:
+                odd[huge] = False
+                dev[huge] = _onto_sphere(halves, self.radius, outside=True)
+                scale[huge] = 1.0
+            odd = np.flatnonzero(odd)
             if odd.size:
                 dev[odd] = _onto_sphere(dev[odd], self.radius)
                 scale[odd] = 1.0
@@ -335,18 +349,18 @@ class BallProjector(Projector):
 _TINY = np.finfo(float).tiny
 
 
-def _onto_sphere(dev: np.ndarray, radius: float) -> np.ndarray:
-    """Rows ``dev`` outside the ball of ``radius`` about 0 moved onto its
-    sphere, and the others as they are, with no square that overflows or
-    underflows: a row's norm is its largest magnitude ``big`` times
-    ``norm``, the norm of ``dev / big`` (in [1, sqrt(d)]), and a moved row
-    is ``(dev / big) * (radius / norm)``."""
+def _onto_sphere(dev: np.ndarray, radius: float, outside=None) -> np.ndarray:
+    """Rows ``dev`` outside the ball of ``radius`` about 0 (every row, if
+    ``outside`` is True) moved onto its sphere, and the others as they are,
+    with no square that overflows or underflows: a row's norm is its largest
+    magnitude ``big`` times ``norm``, the norm of ``dev / big`` (in [1,
+    sqrt(d)]), and a moved row is ``(dev / big) * (radius / norm)``."""
     big = np.abs(dev).max(axis=1, keepdims=True)
     big[big == 0.0] = 1.0  # a zero row stays
     unit = dev / big
     norm = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
-    # norm * big > radius, without the product's overflow
-    outside = norm > radius / big
+    if outside is None:  # norm * big > radius, without the product's overflow
+        outside = norm > radius / big
     return np.where(outside, unit * (radius / np.where(outside, norm, 1.0)), dev)
 
 

@@ -203,6 +203,36 @@ def test_a_row_at_the_center_stays():
     assert_same_bits(ball([0.0, 0.0], 1e-300).project([0.0, -0.0]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("v", [[1e308, 0.0], [1e308, 1e308]])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_a_row_whose_deviation_overflows_is_moved_along_its_halves(v, in_place):
+    # v - c overflows; with out=vs the row must be halved before it is overwritten
+    c = np.array([-1e308, 0.0])
+    vs = np.array([v])
+    d = vs[0] / 2 - c / 2
+    want = c + d / math.hypot(*d)
+    with no_warnings():
+        got = ball(c, 1.0).project_rows(vs, out=vs if in_place else None)
+    assert (got is vs) == in_place
+    assert np.allclose(got[0], want, rtol=EPS, atol=0)
+
+
+def test_rows_that_do_not_overflow_keep_their_bits_beside_rows_that_do():
+    c = np.array([-1e308, 0.0, 1.0])
+    rng = np.random.default_rng(3)
+    vs = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-3, 308, size=(40, 1))
+    vs[::5] = [1e308, 1e308, 0.0]
+    plain = np.ones(40, bool)
+    plain[::5] = False
+    want = ball(c, 2.0).project_rows(vs[plain])
+    with blocks(6, 3), no_warnings():  # rows of both kinds in most of the threads' blocks
+        got = ball(c, 2.0).project_rows(vs, out=vs)
+    assert_same_bits(got[plain], want)
+    assert np.all(np.isfinite(got))
+    d = np.array([1e308, 1e308, 0.0]) / 2 - c / 2
+    assert np.allclose(got[~plain], c + d / math.hypot(*d) * 2, rtol=EPS, atol=0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6).filter(
            lambda v: max(map(abs, v)) >= 0.1),
