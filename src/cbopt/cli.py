@@ -15,7 +15,8 @@ echoed, so artifacts stay byte-identical across worker counts and output
 locations.  ``--workers N`` caps every thread and process at N CPUs.
 
 All artifacts land inside the ``--out`` directory; nothing is written
-anywhere else.  Exit status is 0 on success, 1 on any library error, and
+anywhere else.  The directory is made just before the first artifact is
+written, so a command that fails validation leaves none.  Exit status is 0 on success, 1 on any library error, and
 2 on bad command lines (argparse).
 """
 
@@ -149,6 +150,7 @@ def _write_meta(out: Path, command: str, cfg: dict, objective, projector, refere
 
 
 def _out_dir(args) -> Path:
+    """The ``--out`` directory, made now: call it just before the first write."""
     out = Path(getattr(args, "out", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -238,10 +240,9 @@ def _maybe_reference(cfg, objective, projector):
 
 def cmd_synth(args) -> int:
     cfg = _resolve(args)
-    out = _out_dir(args)
     mu, sigma = market.demo_market(cfg["assets"])
     series = market.synthetic_market(cfg["seed"], cfg["assets"], cfg["rows"], mu, sigma)
-    path = out / "prices.csv"
+    path = _out_dir(args) / "prices.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write(market.format_prices(series))
     print(f"synth: wrote {series.n_periods} rows x {series.dim} assets to {path}")
@@ -250,7 +251,6 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     rf = _resolve(args)["rf"]
-    out = _out_dir(args)
     series = market.parse_prices(_read_text(args.prices))
     returns = market.log_returns(series)
     with warnings.catch_warnings(record=True) as caught:  # a short sample warns
@@ -258,6 +258,7 @@ def cmd_ingest(args) -> int:
         stats = market.estimate_stats(returns, rf=0.0 if rf is None else rf)
     for caught_warning in caught:
         print(f"warning: {caught_warning.message}", file=sys.stderr)
+    out = _out_dir(args)
     with open(out / "stats.txt", "w", newline="\n") as fh:
         fh.write(market.format_stats(stats))
     print(
@@ -269,7 +270,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
-    out = _out_dir(args)
     objective, projector, stats = _build_problem(cfg)
     (solve_seed,) = _derived_seeds(cfg["seed"], 1)
     params = _cbo_params(cfg, solve_seed)
@@ -277,6 +277,7 @@ def cmd_solve(args) -> int:
     reference = _maybe_reference(cfg, objective, projector)  # a bad grid fails before the run
 
     result = run(objective, projector, params, init_std=cfg["init_std"], thin=cfg["thin"])
+    out = _out_dir(args)
     if reference is not None:
         errors = diagnostics.error_trace(result.trace, reference)
         diagnostics.write_error_csv(result.trace.iterations(), errors, out / "error_trace.csv")
@@ -311,16 +312,16 @@ def cmd_solve(args) -> int:
 
 def cmd_frontier(args) -> int:
     cfg = _resolve(args)
-    out = _out_dir(args)
     stats = _load_stats(cfg)
     projector = projections.simplex(stats.dim)
     objective = objectives.neg_sharpe(stats)
     cbo_seed, cloud_seed = _derived_seeds(cfg["seed"], 2)
+    params = _cbo_params(cfg, cbo_seed)  # bad parameters fail before the cloud is drawn
 
     cloud = market.sample_frontier(stats, cfg["samples"], cloud_seed)
+    out = _out_dir(args)
     market.write_frontier_csv(cloud, out / "frontier.csv")
 
-    params = _cbo_params(cfg, cbo_seed)
     result = run(objective, projector, params, init_std=cfg["init_std"])
     ret, risk, sharpe = objectives.sharpe_components(stats, result.point)
     intercept, slope = market.cml(stats.rf, (risk, ret))
@@ -353,7 +354,6 @@ def cmd_diagnose(args) -> int:
             cfg["betas"],
             lambda raw: diagnostics.check_betas(float(t) for t in raw.split(",") if t.strip()),
         )
-    out = _out_dir(args)
     objective, projector, _stats = _build_problem(cfg)
     decay_seed, laplace_seed, solve_seed = _derived_seeds(cfg["seed"], 3)
     params = _cbo_params(cfg, solve_seed)
@@ -369,6 +369,7 @@ def cmd_diagnose(args) -> int:
         seed=decay_seed,
         init_std=cfg["init_std"],
     )
+    out = _out_dir(args)
     decay.write_csv(out / "decay.csv")
 
     ensemble = init_ensemble(

@@ -360,6 +360,22 @@ def test_workers_below_one_is_an_error(tmp_path, capsys, workers):
     assert not (tmp_path / "prices.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--assets", "0"],
+    ["ingest", "{tmp}/missing.csv"],
+    ["solve", "--objective", "sphere", "--dim", "3", "--particles", "1"],
+    ["frontier", "--stats", "{tmp}/stats.txt", "--samples", "-1"],
+    ["diagnose", "--stats", "{tmp}/stats.txt", "--runs", "0"],
+])
+def test_a_validation_failure_leaves_no_out_directory(tmp_path, capsys, market3, argv):
+    (tmp_path / "stats.txt").write_text(format_stats(market3))
+    out = tmp_path / "a"
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _stats_d6(tmp_path):
     inputs = tmp_path / "in6"
     assert main(["synth", "--assets", "6", "--rows", "200", "--seed", "1",
