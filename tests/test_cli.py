@@ -553,7 +553,7 @@ def test_parameters_whose_square_overflows_are_an_error_line(tmp_path, capsys, a
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam,sigma", [("1e-200", "0"), ("1e-170", "1e-200")])
@@ -576,7 +576,7 @@ def test_a_grid_too_large_to_allocate_is_an_error_line(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("error:") and "points" in err and repr(float(step)) in err
     assert "Traceback" not in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
