@@ -16,8 +16,9 @@ locations.  ``--workers N`` caps every thread and process at N CPUs.
 
 All artifacts land inside the ``--out`` directory; nothing is written
 anywhere else.  The directory is made just before the first artifact is
-written, so a command that fails validation leaves none.  Exit status is 0 on success, 1 on any library error, and
-2 on bad command lines (argparse).
+written, so a command that fails validation leaves none.  Exit status is
+0 on success, 1 on any library error, and 2 on bad command lines
+(argparse).
 """
 
 from __future__ import annotations
