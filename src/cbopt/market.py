@@ -4,6 +4,9 @@ The data path is deliberately plain: a prices CSV with a ``date`` column
 and one positive price column per asset comes in, log returns and sample
 moments come out, and a Monte Carlo cloud of random feasible portfolios
 gives the risk/return backdrop against which a solver result is judged.
+That cloud is drawn in seeded chunks of ``_FRONTIER_CHUNK`` rows, scored
+as they are drawn and drawn again where its weights are read or written,
+so it never holds its ``(n, d)`` weights.
 
 A seeded geometric random-walk generator produces synthetic price files
 for tests and demos, so no real market data is required anywhere.
@@ -105,21 +108,54 @@ class ReturnsSeries:
         object.__setattr__(self, "asset_names", names)
 
 
-@dataclass(frozen=True)
 class FrontierCloud:
     """Monte Carlo sample of feasible portfolios with their scores.
 
-    From :func:`sample_frontier`, ``ret``, ``risk`` and ``sharpe`` are the
-    rows of one ``(3, n)`` array, and ``weights`` is ``(n, d)``.
+    ``ret``, ``risk`` and ``sharpe`` are n-vectors and ``weights`` is
+    ``(n, d)``.  From :func:`sample_frontier` the scores are the rows of one
+    ``(3, n)`` array, and the cloud keeps its chunks' seeds instead of its
+    weights: each read of ``weights`` draws them again, with the sampled
+    bits, and :func:`write_frontier_csv` draws only each piece's rows.
     """
 
-    weights: np.ndarray
-    ret: np.ndarray
-    risk: np.ndarray
-    sharpe: np.ndarray
+    def __init__(self, weights, ret, risk, sharpe):
+        self._weights, self.ret, self.risk, self.sharpe = weights, ret, risk, sharpe
+
+    @property
+    def weights(self) -> np.ndarray:
+        w = self._weights  # a sampled cloud's, drawn into a new array
+        return np.array(w[:]) if isinstance(w, _Draws) else w
 
     def __len__(self) -> int:
-        return self.weights.shape[0]
+        return len(self.ret)
+
+
+class _Draws:
+    """A sampled cloud's ``(n, d)`` weights as a column that ``[lo:hi]``
+    draws, for reading only: each ``_FRONTIER_CHUNK`` rows come from their
+    own seed, and the last chunk drawn is kept (rows in order draw each once)."""
+
+    def __init__(self, seeds, n: int, d: int):
+        self.seeds, self.shape, self.dtype = seeds, (n, d), np.dtype(float)
+        self._last = (-1, None)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        c = _FRONTIER_CHUNK
+        parts = [self._chunk(k)[max(lo - k * c, 0):hi - k * c] for k in range(lo // c, -(-hi // c))]
+        return parts[0] if len(parts) == 1 else np.vstack([np.empty((0, self.shape[1])), *parts])
+
+    def _chunk(self, k: int) -> np.ndarray:
+        """Chunk ``k``: i.i.d. exponential spacings from seed ``k`` divided by
+        their row sums, the only code that makes frontier weights."""
+        if self._last[0] != k:
+            self._last = (-1, None)  # frees the chunk before, unless a caller holds it
+            n, d = self.shape
+            chunk = np.random.default_rng(self.seeds[k]).standard_exponential(
+                (min(_FRONTIER_CHUNK, n - k * _FRONTIER_CHUNK), d))
+            chunk /= chunk.sum(axis=1, keepdims=True)
+            self._last = (k, chunk)
+        return self._last[1]
 
 
 def parse_prices(text: str) -> PriceSeries:
@@ -280,23 +316,19 @@ def sample_frontier(stats: MarketStats, n_samples: int, seed: int) -> FrontierCl
     """Score ``n_samples`` uniformly distributed simplex portfolios.
 
     Uniformity comes from normalized i.i.d. exponential spacings.  The
-    weights and the scores are allocated first, so a cloud too large to
-    hold fails before any seed is spawned.  Each ``_FRONTIER_CHUNK`` rows,
-    in order, are drawn in place from their own spawned seed and divided
-    by their row sums.  The rows are then scored in blocks that follow the
-    chunks, with a shorter tail joined to the block before it: every block
-    but a lone one has at least ``_FRONTIER_CHUNK`` rows, and a cloud under
-    twice that is one block.
+    scores are allocated first, so a cloud too large to hold fails before
+    any seed is spawned.  Each ``_FRONTIER_CHUNK`` rows, in order, are
+    drawn from their own spawned seed and divided by their row sums.  The
+    rows are scored in blocks that follow the chunks, with a shorter tail
+    joined to the block before it: every block but a lone one has at least
+    ``_FRONTIER_CHUNK`` rows, and a cloud under twice that is one block.
+    A block's chunks, at most two, are the only weights held at once.
     """
     if not _is_int(n_samples) or n_samples < 0:
         raise ConfigurationError("n_samples must be a nonnegative integer")
-    weights = np.empty((n_samples, stats.dim))
     scores = np.empty((3, n_samples))
-    starts = range(0, n_samples, _FRONTIER_CHUNK)
-    for lo, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
-        chunk = weights[lo:lo + _FRONTIER_CHUNK]
-        np.random.default_rng(child).standard_exponential(out=chunk)
-        chunk /= chunk.sum(axis=1, keepdims=True)
+    seeds = np.random.SeedSequence(seed).spawn(-(-n_samples // _FRONTIER_CHUNK))
+    weights = _Draws(seeds, n_samples, stats.dim)
     # A shorter block can take another BLAS kernel and other bits than the
     # whole-cloud product; blocks of a chunk or more have given the same.
     block_starts = range(0, max(n_samples - _FRONTIER_CHUNK, 0) + 1, _FRONTIER_CHUNK)
@@ -324,10 +356,11 @@ def write_frontier_csv(cloud: FrontierCloud, path) -> None:
 
     The columns are stacked and formatted one piece of rows at a time, on
     up to one process per usable CPU, so neither the whole block nor its
-    text is held at once; the bytes do not depend on the CPU count.
+    text is held at once; the bytes do not depend on the CPU count.  Each
+    process draws a sampled cloud's chunks, once each, as its pieces need.
     """
-    header = "risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(cloud.weights.shape[1]))
-    _write_csv(path, header, [cloud.risk, cloud.ret, cloud.sharpe, cloud.weights])
+    header = "risk,ret,sharpe," + ",".join(f"w{i+1}" for i in range(cloud._weights.shape[1]))
+    _write_csv(path, header, [cloud.risk, cloud.ret, cloud.sharpe, cloud._weights])
 
 
 def format_stats(stats: MarketStats) -> str:

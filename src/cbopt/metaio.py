@@ -125,9 +125,10 @@ def _cell_layouts():
 _MASKS, _TEXTS = _cell_layouts()
 
 
-def _fmt_block(block: np.ndarray) -> bytes:
+def _fmt_block(block: np.ndarray, end: bytes = b"") -> bytes:
     """The ASCII bytes of ``"\\n".join(",".join(map(repr, row)) for row in
-    block.tolist())`` for a 2-D float block, computed on whole arrays.
+    block.tolist())``, then ``end``, for a 2-D float block, computed on
+    whole arrays.
 
     ``repr`` prints the shortest decimal that reads back as the same float
     and, of those, the nearest (Steele & White; Gay, "Correctly rounded
@@ -151,7 +152,8 @@ def _fmt_block(block: np.ndarray) -> bytes:
     Every other cell gets ``repr``'s own text: 0, inf, nan, magnitudes out
     of range, power-of-two mantissas, a distance of exactly 5**k, a tie, a
     misjudged q and a carry to 18 digits.  Each pass of ``_FMT_CELLS``
-    cells fills ``_CELL`` bytes per cell and drops the zero bytes.
+    cells fills ``_CELL`` bytes per cell and drops the zero bytes; ``end``
+    joins the passes, so appending it copies nothing.
     """
     rows, cols = block.shape
     flat = block.reshape(-1)
@@ -165,7 +167,7 @@ def _fmt_block(block: np.ndarray) -> bytes:
             cells[0, 0] = 0  # the first cell has no separator
         parts.append(cells.tobytes().translate(None, b"\0"))
     # Rows of no cells are empty lines.
-    return b"".join(parts) if flat.size else b"\n" * max(rows - 1, 0)
+    return b"".join([*parts, end]) if flat.size else b"\n" * max(rows - 1, 0) + end
 
 
 def _fmt_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -272,7 +274,7 @@ def _table_rows(cols, lo: int, hi: int) -> bytes:
     parts = [col[lo:hi] for col in cols]
     if all(part.dtype.kind not in "Ub" for part in parts):
         block = np.column_stack(parts).astype(float, copy=False)
-        return _fmt_block(block) + b"\n" if len(block) else b""
+        return _fmt_block(block, b"\n") if len(block) else b""
     cells = []
     for kind, group in itertools.groupby(parts, lambda c: c.dtype.kind):
         if kind == "U":
@@ -288,15 +290,17 @@ def _table_rows(cols, lo: int, hi: int) -> bytes:
 
 def _write_csv(path, header: str, columns) -> None:
     """Write ``header`` and the :func:`_table_rows` of ``columns``; rows stop
-    at the shortest column.
+    at the shortest column.  A column with a ``dtype`` is used as it is: an
+    array, or an object with a ``shape`` whose ``[lo:hi]`` makes those rows'
+    array (a sampled frontier's weights, drawn per piece).
 
     The rows are rendered in pieces of about ``_PIECE_CELLS`` float cells
     on up to one process per usable CPU (:func:`_pieces`), and go to the
     file as bytes that do not depend on the CPU count.  The header is
     flushed first, so no forked child inherits unwritten output.
     """
-    cols = [np.asarray(col) for col in columns]
-    rows = min(len(col) for col in cols)
+    cols = [col if hasattr(col, "dtype") else np.asarray(col) for col in columns]
+    rows = min(col.shape[0] for col in cols)
     row_cells = sum(math.prod(col.shape[1:]) for col in cols if col.dtype.kind not in "Ub")
     pieces = _pieces(rows, row_cells, lambda lo, hi: _table_rows(cols, lo, hi))
     with open(path, "wb") as fh:

@@ -340,7 +340,9 @@ class BallProjector(Projector):
         return out
 
     def contains_rows(self, vs, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
-        return np.sqrt(_row_sq(_as_rows(vs, self.dim), self.center)) <= self.radius + tol
+        with np.errstate(over="ignore"):  # an overflowing distance is inf: outside
+            sq = _row_sq(_as_rows(vs, self.dim), self.center)
+        return np.sqrt(sq) <= self.radius + tol
 
     def describe(self) -> str:
         return f"ball:{fmt_vector(self.center)},{fmt_float(self.radius)}"

@@ -143,10 +143,10 @@ def fail_in_children(monkeypatch):
     parent = os.getpid()
     real = metaio._fmt_block
 
-    def fmt_block(block):
+    def fmt_block(block, *end):
         if os.getpid() != parent:
             raise RuntimeError("formatter failed in a child")
-        return real(block)
+        return real(block, *end)
 
     monkeypatch.setattr(metaio, "_fmt_block", fmt_block)
 
