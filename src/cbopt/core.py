@@ -21,9 +21,11 @@ All randomness flows through numpy ``Generator`` streams seeded from one
 depend on how the surrounding code schedules work.
 
 An :class:`Ensemble` is checked once, when it is made, so every ensemble
-is finite and nothing that takes one re-checks it.  Every step of
-:func:`run`, :func:`cbo_step` and ``decay_experiment`` goes through one
-private kernel, :func:`_step`, which returns a new, so checked, ``Ensemble``.
+is finite and nothing that takes one re-checks it.  Every step's predictor
+and corrector is one private kernel, :func:`_advance`: :func:`run` and
+:func:`cbo_step` call it through :func:`_step`, which evaluates the new
+positions and returns a new, so checked, ``Ensemble``, and
+``decay_experiment`` calls it on ranges of its stacked runs.
 """
 
 from __future__ import annotations
@@ -383,14 +385,17 @@ def draw_step_noise(params: CboParams, dim: int, rng, steps=None) -> np.ndarray:
 
 
 def predictor_step(
-    ensemble: Ensemble, consensus: np.ndarray, params: CboParams, eta: np.ndarray
+    ensemble: Ensemble, consensus: np.ndarray, params: CboParams, eta: np.ndarray, out=None
 ) -> np.ndarray:
     """Propose raw (unconstrained) positions for the next iterate.
 
     ``w_i - lam*h*(w_i - consensus) + sigma*sqrt(h)*(w_i - consensus)*eta``
     evaluated rowwise, with ``eta`` as :func:`draw_step_noise` returns it;
     the input ensemble is not mutated.  A batched ensemble takes one
-    consensus row per run.
+    consensus row per run.  As in numpy, the proposal is written to ``out``
+    and it is returned: ``None`` allocates it, and any other ``out`` must be
+    a writeable float64 array of the positions' shape that shares no memory
+    with them.
 
     The expression is evaluated in row blocks (whole runs when batched),
     on every usable CPU, by in-place ufuncs with the same operands in the
@@ -411,9 +416,15 @@ def predictor_step(
     if pos.ndim == 3:  # one consensus row, and in COMMON mode one noise row, per run
         consensus = consensus[:, None, :]
         eta = eta if params.noise_mode is NoiseMode.INDEPENDENT else eta[:, None, :]
+    if out is None:
+        out = np.empty(pos.shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == pos.shape and out.dtype == np.float64
+              and out.flags.writeable) or np.may_share_memory(out, pos):
+        raise ConfigurationError(
+            f"out must be a writeable float64 array of shape {pos.shape} apart from the positions"
+        )
     drift = params.lam * params.h
     spread = params.sigma * math.sqrt(params.h)
-    out = np.empty(pos.shape)
 
     def body(lo, hi, dev, spare=None):
         w, new, d = pos[lo:hi], out[lo:hi], dev[: hi - lo]
@@ -443,20 +454,30 @@ def _record(ensemble: Ensemble, cons, residual, best_value, a_n, b_n) -> TraceRe
                        com, a_n, b_n)
 
 
-def _step(ensemble: Ensemble, cons, eta, params: CboParams, projector, objective):
-    """Predictor -> corrector -> evaluation, with this step's ``cons`` and
-    ``eta``.  R stacked runs are projected and evaluated as one ``(R*N, d)``
-    block.  Nothing reads the predictor's proposal again, so it is projected
-    in place (``out`` is the proposal) and a step allocates one full-size
-    array, its new positions; the array the projector returns is used.  The
-    projector scans its input (a predictor overflow), and the new
-    :class:`Ensemble` checks the values and the positions (a duck-typed
-    projector may return NaN)."""
-    raw = predictor_step(ensemble, cons, params, eta)
+def _advance(ensemble: Ensemble, cons, eta, params: CboParams, projector, out=None):
+    """Predictor -> corrector with this step's ``cons`` and ``eta``: the new
+    positions as ``(rows, d)``.  The proposal goes to ``out`` (see
+    :func:`predictor_step`) and nothing reads it again, so R stacked runs
+    are projected in place as one ``(R*N, d)`` block.  The array the
+    projector returns is used, and copied to ``out`` if it is another.  The
+    projector scans its input (a predictor overflow)."""
+    raw = predictor_step(ensemble, cons, params, eta, out)
     flat = raw.reshape(-1, raw.shape[-1])
     positions = projector.project_rows(flat, out=flat)
+    if out is not None and positions is not flat:
+        flat[...] = np.reshape(positions, flat.shape)
+    return positions
+
+
+def _step(ensemble: Ensemble, cons, eta, params: CboParams, projector, objective):
+    """:func:`_advance`, then the evaluation of the new positions as one
+    block.  A step allocates one full-size array, its new positions; the
+    new :class:`Ensemble` checks the values and the positions (a duck-typed
+    projector may return NaN)."""
+    positions = _advance(ensemble, cons, eta, params, projector)
     values = objective.eval_many(positions)
-    return Ensemble(np.reshape(positions, raw.shape), np.reshape(values, raw.shape[:-1]),
+    shape = ensemble.positions.shape
+    return Ensemble(np.reshape(positions, shape), np.reshape(values, shape[:-1]),
                     ensemble.iteration + 1)
 
 

@@ -32,16 +32,17 @@ from .core import (
     Ensemble,
     NoiseMode,
     RunTrace,
+    _advance,
     _center_of_mass,
     _pairwise_sq,
     _start_mean,
     _starts,
-    _step,
     consensus_point,
     draw_step_noise,
 )
+from . import metaio
 from .errors import ConfigurationError, NumericDomainError
-from .metaio import _is_int, _mean, _row_sq, _write_csv, fmt_float, format_metadata
+from .metaio import _each_block, _is_int, _mean, _row_sq, _write_csv, fmt_float, format_metadata
 
 __all__ = [
     "Verdict",
@@ -197,10 +198,21 @@ def decay_experiment(
     Each run draws its start and noise from its own spawned seed, as
     :func:`~cbopt.core.init_ensemble` would; the starts of all runs are
     projected in one call, each run is evaluated on its own, all runs
-    advance together, one batched step per iteration, and are summed in
-    run-index order.  Each run's noise is drawn for a block of steps at a
-    time (about ``_NOISE_CELLS`` values over all runs), which gives the bits
-    of one draw per step.
+    advance together, and their statistics are summed in run-index order.
+    Each run's noise is drawn for a block of steps at a time (about
+    ``_NOISE_CELLS`` values over all runs), which gives the bits of one
+    draw per step.
+
+    A step's per-run work (the pairwise and consensus statistics, the
+    consensus point, the predictor and the corrector) is one
+    :func:`~cbopt.metaio._each_block` call over ranges of whole runs, one
+    per usable CPU and thread but none under ``_BLOCK_CELLS // 4`` cells (a
+    small stack runs inline).  The noise draw, the evaluation of the whole
+    stack (one ``eval_many`` call: its BLAS bits depend on its row count)
+    and the new ``Ensemble``'s check stay on the calling thread.  No run's
+    numbers depend on another's, so the bits depend on neither the ranges
+    nor the CPU count.  A step writes its positions into the array of the
+    step before last, so no step allocates one.
     """
     if not _is_int(runs) or runs < 1:
         raise ConfigurationError("runs must be a positive integer")
@@ -217,18 +229,33 @@ def decay_experiment(
     block_steps = max(1, _NOISE_CELLS // step_cells)
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
+    run_cells = w0[0].size
+    per_range = max(-(-runs // metaio.usable_cpus()), metaio._BLOCK_CELLS // 4 // run_cells)
+    spare = None  # the positions of the step before last; w0 is read again below
+
+    def body(lo, hi):  # step n of runs lo:hi: reads the loop's ens, n, eta and new
+        part = ens if hi - lo == runs else Ensemble(ens.positions[lo:hi],
+                                                    ens.objective_values[lo:hi], n)
+        pos = part.positions
+        run_pair[lo:hi, n] = _pairwise_sq(pos, _center_of_mass(pos))
+        cons = consensus_point(part, params.beta)
+        run_cons_sq[lo:hi, n] = _mean(_row_sq(pos, cons[:, None, :]), axis=-1)
+        if n < horizon:
+            _advance(part, cons, eta[lo:hi], params, projector, new[lo:hi])
+
     with np.errstate(all="ignore"):  # the steps' checks report what is not finite
         for n in range(horizon + 1):
-            pos = ens.positions
-            run_pair[:, n] = _pairwise_sq(pos, _center_of_mass(pos))
-            cons = consensus_point(ens, params.beta)
-            run_cons_sq[:, n] = _mean(_row_sq(pos, cons[:, None, :]), axis=-1)
             if n < horizon:
                 if n % block_steps == 0:
                     steps = min(block_steps, horizon - n)
                     block = draw_step_noise(params, dim, rngs, steps=steps)
                 eta = block[:, n % block_steps]
-                ens = _step(ens, cons, eta, params, projector, objective)
+                new = np.empty(w0.shape) if spare is None else spare
+            _each_block(w0.shape, body, 0, per_range * run_cells, 1)
+            if n < horizon:
+                spare = ens.positions if n else None
+                ens = Ensemble(new, objective.eval_many(new.reshape(-1, dim)).reshape(runs, -1),
+                               n + 1)
 
     # np.add.accumulate adds the runs one at a time in run-index order, so
     # the totals do not depend on how the runs were batched.

@@ -390,5 +390,7 @@ def parse_stats(text: str) -> MarketStats:
         raise ConfigurationError(f"stats text missing field {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(f"malformed stats text: {exc}") from exc
+    if len(mu) != d:  # MarketStats would take len(mu) as d and blame sigma
+        raise ConfigurationError(f"stats mu has {len(mu)} values, but d={d}")
     # Checked here: MarketStats would invent names for an empty list.
     return MarketStats(mu, sigma, rf, _check_names(names))

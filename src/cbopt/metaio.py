@@ -15,9 +15,11 @@ which formats a large one in pieces on several forked processes
 (:func:`_pieces`); a piece stays bytes from the kernel to the file.
 :func:`_fmt_2f_rows` is the ``.2f`` kernel of the SVG's circles.  The same
 row ranges (:func:`_row_ranges`) cut the numeric kernels' ``(N, d)``
-arrays into cache-sized blocks: :func:`_each_block` runs a kernel's blocks
-on short-lived threads, up to one per usable CPU, each with its own scratch,
-joined before it returns.  Both count CPUs by :func:`usable_cpus` alone.
+arrays, and the decay experiment's stacked runs, into cache-sized blocks:
+:func:`_each_block` runs a kernel's blocks on short-lived threads, up to
+one per usable CPU, each with its own scratch, joined before it returns;
+a kernel called from such a block runs inline.  Both count CPUs by
+:func:`usable_cpus` alone.
 Every block keeps its operands and ufunc order, so the bits do not depend
 on the number of threads.  :func:`_row_sq`, the squared distance of each
 row to a center, is the kernel of every distance the package reports (the
@@ -64,6 +66,8 @@ _BLOCK_CELLS = 1 << 17
 _SHORT_ROW = 8
 
 _CPU_CAP = contextvars.ContextVar("cpu_cap", default=None)  # cli.main's --workers
+# .active: this thread runs the ranges of a multi-thread _each_block call.
+_SHARING = threading.local()
 
 
 def usable_cpus() -> int:
@@ -316,53 +320,63 @@ def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _each_block(shape, body, buffers: int = 1) -> None:
-    """``body(lo, hi, *scratch)`` for every row range of about
-    ``_BLOCK_CELLS`` cells over the first axis of an array of ``shape``
-    (one range, the whole array, if it fits in a block); ``scratch`` is
+def _each_block(shape, body, buffers: int = 1, cells: int | None = None,
+                per_thread: int = 2) -> None:
+    """``body(lo, hi, *scratch)`` for every row range of about ``cells``
+    cells (``_BLOCK_CELLS`` by default) over the first axis of an array of
+    ``shape`` (one range, the whole array, if it fits); ``scratch`` is
     ``buffers`` uninitialized arrays shaped like the largest range.
 
-    One range runs inline.  More are shared by
-    P = ``min(len(ranges) // 2, usable_cpus())`` threads, each taking the
-    next range in turn, so a thread the host starts late takes fewer.  P
-    leaves at least two ranges per thread: one 1 MB block is about as much
-    work as starting a thread and faulting in its output.  Every thread,
-    the caller's included, gets its own scratch, allocated here on the
-    calling thread.  Each worker runs under the caller's numpy error state;
-    every thread is joined before this returns or raises, so :func:`_pieces`
-    may fork again afterwards, and the first exception, the caller's or a
-    worker's, is re-raised here.
+    The ranges are shared by P = ``min(len(ranges) // per_thread,
+    usable_cpus())`` threads, each taking the next range in turn, so a
+    thread the host starts late takes fewer; with P < 2 they run inline.
+    By default P leaves at least two ranges per thread: one 1 MB block is
+    about as much work as starting a thread and faulting in its output.
+    Every thread, the caller's included, gets its own scratch, allocated
+    here on the calling thread.  Each worker runs under the caller's numpy
+    error state; every thread is joined before this returns or raises, so
+    :func:`_pieces` may fork again afterwards, and the first exception, the
+    caller's or a worker's, is re-raised here.  A call made by a body of a
+    multi-thread call runs all its ranges inline: the workers do not see
+    ``_CPU_CAP``, and P threads that each started more would exceed it.
 
     ``body`` must write only rows ``lo:hi`` of its outputs and its own
-    scratch, allocate nothing full-size and call no public function.
-    Elementwise ufuncs give the same bits on a block as on the whole array,
-    and every row sum stays one reduction over one contiguous row, so its
-    blocks get the bits of the whole-array expression on any number of
-    threads.
+    scratch, and allocate nothing full-size.  It may call other kernels,
+    and any function that is safe to run on disjoint rows at once (the
+    decay experiment's run ranges call the projector).  Elementwise ufuncs
+    give the same bits on a block as on the whole array, and every row sum
+    stays one reduction over one contiguous row, so its blocks get the bits
+    of the whole-array expression on any number of threads.
     """
+    cells = _BLOCK_CELLS if cells is None else cells
     row_cells = math.prod(shape[1:])
-    ranges = ([(0, shape[0])] if shape[0] * row_cells <= _BLOCK_CELLS
-              else _row_ranges(shape[0], row_cells, _BLOCK_CELLS))
+    ranges = ([(0, shape[0])] if shape[0] * row_cells <= cells
+              else _row_ranges(shape[0], row_cells, cells))
 
     def scratch() -> tuple:
         return tuple(np.empty((ranges[0][1], *shape[1:])) for _ in range(buffers))
 
-    if len(ranges) == 1:
-        body(*ranges[0], *scratch())
+    if len(ranges) < 2 * per_thread or getattr(_SHARING, "active", False):
+        arrays = scratch()
+        for lo, hi in ranges:
+            body(lo, hi, *arrays)
         return
-    procs = min(len(ranges) // 2, usable_cpus())
+    procs = min(len(ranges) // per_thread, usable_cpus())
     todo = iter(ranges)  # shared by the threads: next() holds the GIL
     settings = np.geterr()
     call = np.geterrcall()
     errors = []
 
     def share(arrays) -> None:
+        _SHARING.active = True
         try:
             with np.errstate(call=call, **settings):
                 for lo, hi in todo:
                     body(lo, hi, *arrays)
         except BaseException as exc:  # re-raised once every thread is joined
             errors.append(exc)
+        finally:
+            _SHARING.active = False
 
     threads = []
     try:

@@ -81,6 +81,11 @@ class Projector:
         ``vs`` or shares no memory with it.  A duck-typed projector may
         ignore ``out`` and return a new array, so a caller uses the array
         returned.
+
+        ``decay_experiment`` calls this from several threads at once, each
+        on its own rows: a projector writes only ``out`` and its own
+        temporaries, and any state it keeps (a cache) must stay valid for
+        a concurrent call.
         """
         raise NotImplementedError
 
@@ -147,7 +152,9 @@ class SimplexProjector(Projector):
         if not _is_int(dim) or dim < 1:
             raise ConfigurationError("simplex dimension must be a positive integer")
         self.dim = int(dim)
-        self._ks = np.ones((0, self.dim))  # rows of k = 1..d, grown to the largest block
+        # Rows of k = 1..d, grown to the largest block.  A call that grows it
+        # binds a new tile and never writes one, so concurrent calls are safe.
+        self._ks = np.ones((0, self.dim))
         self._k_col = np.arange(1.0, self.dim + 1)[:, None]  # k = 1..d as a column
         # Blocks of at least this many rows take _column_thresholds; None: none do.
         self._column_rows = 16 * self.dim**2 if self.dim < metaio._SHORT_ROW else None

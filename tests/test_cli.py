@@ -497,6 +497,13 @@ def test_duplicate_asset_names_in_stats_are_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {stats}: duplicate asset name 'A'\n"
 
 
+def test_a_mu_of_the_wrong_length_is_named_in_the_error_line(tmp_path, capsys):
+    stats = tmp_path / "stats.txt"
+    stats.write_text("d=2\nrf=0.0\nnames=A B\nmu=0.1 0.2 0.3\nsigma=1 0 0 1\n")
+    assert main(["solve", "--stats", str(stats), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {stats}: stats mu has 3 values, but d=2\n"
+
+
 @pytest.mark.parametrize("old, new, err", [
     ("rf=0.0\n", "rf=0.0\nmu=0 0 0\n",
      "malformed stats line 5: duplicate key 'mu' (first on line 3)"),

@@ -5,7 +5,9 @@ The CLI sets ``metaio._CPU_CAP`` for the length of a command, and
 and the CSV formatters' forked processes, returns at most that.  Each test
 here makes the host report four usable CPUs, so the uncapped run takes the
 threaded and forked paths on any machine, and counts the threads started
-and the ``os.fork`` calls.
+and the ``os.fork`` calls.  The decay experiment's run ranges call kernels
+from worker threads, which do not see the cap; those nested calls run
+inline, so the cap still holds.
 """
 
 import os
@@ -72,6 +74,42 @@ def test_two_workers_start_at_most_one_thread_and_one_process(tmp_path, spawned)
     assert set(spawned["threads"]) == {"block-1"}
     assert spawned["peak"] == 2
     assert spawned["forks"] == 1
+    assert artifacts(tmp_path / "two") == artifacts(tmp_path / "all")
+
+
+def ball_stack(out, *extra):
+    """A decay stack of 4 runs of (64, 6000) on the unit ball: one run range
+    per usable CPU, whose projections are four or more row blocks, so a
+    nested projection on a worker thread would start threads of its own."""
+    return ["diagnose", "--objective", "sphere", "--dim", str(DIM), "--particles", "64",
+            "--projector", "ball:" + " ".join(["0"] * DIM) + ",1", "--runs", "4",
+            "--horizon", "2", "--reference", "none", "--seed", "7", "--out", str(out), *extra]
+
+
+def wide_stack(out, *extra):
+    """Runs of (8, 20000): each run alone is more than one row block."""
+    return ["diagnose", "--objective", "sphere", "--dim", "20000", "--particles", "8",
+            "--runs", "4", "--horizon", "3", "--reference", "none", "--seed", "7",
+            "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("stack", [ball_stack, wide_stack])
+def test_one_worker_steps_a_threaded_decay_stack_on_one_thread(tmp_path, spawned, stack):
+    assert main(stack(tmp_path / "all")) == 0
+    assert "block-1" in spawned["threads"]
+    spawned.update(threads=[], peak=1, forks=0)
+    assert main(stack(tmp_path / "one", "--workers", "1")) == 0
+    assert spawned == {"threads": [], "peak": 1, "forks": 0}
+    assert artifacts(tmp_path / "one") == artifacts(tmp_path / "all")
+
+
+@pytest.mark.parametrize("stack", [ball_stack, wide_stack])
+def test_two_workers_keep_a_decay_stack_at_two_threads(tmp_path, spawned, stack):
+    assert main(stack(tmp_path / "all")) == 0
+    spawned.update(threads=[], peak=1, forks=0)
+    assert main(stack(tmp_path / "two", "--workers", "2")) == 0
+    assert set(spawned["threads"]) == {"block-1"}
+    assert spawned["peak"] == 2
     assert artifacts(tmp_path / "two") == artifacts(tmp_path / "all")
 
 

@@ -370,6 +370,14 @@ def test_parse_stats_rejects_malformed_text():
         parse_stats("just some words\n")
 
 
+@pytest.mark.parametrize("mu", ["0.1 0.2 0.3", "0.1"])
+def test_parse_stats_names_mu_when_its_length_is_not_d(mu):
+    # A 2 x 2 sigma fits d=2, so the fault is mu's, not sigma's.
+    n = len(mu.split())
+    with pytest.raises(ConfigurationError, match=rf"^stats mu has {n} values, but d=2$"):
+        parse_stats(f"d=2\nrf=0.0\nnames=A B\nmu={mu}\nsigma=1 0 0 1\n")
+
+
 # ------------------------------------------------- solver beats random search
 
 

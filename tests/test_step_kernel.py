@@ -11,6 +11,8 @@ expression; every output must keep its bits.
 import contextlib
 import dataclasses
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from cbopt import (
     CboParams,
     Ensemble,
+    MarketStats,
     NoiseMode,
     Objective,
     ball,
@@ -28,12 +31,13 @@ from cbopt import (
     draw_step_noise,
     init_ensemble,
     mean_pairwise_sq,
+    neg_sharpe,
     rastrigin,
     run,
     simplex,
     sphere,
 )
-from cbopt import core, diagnostics, metaio, projections
+from cbopt import core, diagnostics, market, metaio, projections
 from cbopt.cli import main
 from cbopt.errors import NumericDomainError
 
@@ -287,6 +291,88 @@ def test_decay_experiment_keeps_the_bits_of_the_old_loop(n, d, runs, cells, kind
     assert_same_bits(report.mean_consensus_sq, cons_sq)
 
 
+# (N, d, runs, block cells) of stacks the decay experiment cuts into one
+# range of runs per usable CPU: in the second case each run is more than a
+# whole block, the third is the portfolio benchmark's shape, and in the last
+# a range holds at least 3 runs (a quarter of the block cells), so 7 CPUs
+# take 6 ranges of 5 runs and one of 1.
+RANGE_CASES = [(8, 4, 200, 40), (2, 3, 9, 4), (100, 20, 100, None), (8, 4, 31, 500)]
+
+
+@pytest.fixture
+def reported_cpus(monkeypatch):
+    """``reported_cpus(k)`` makes ``metaio.usable_cpus()`` report k CPUs; the
+    returned list collects the names of the threads started."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+    def report(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: k)
+        return started
+
+    return report
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4, 7])
+@pytest.mark.parametrize("n, d, runs, cells", RANGE_CASES)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", list(NoiseMode))
+def test_decay_run_ranges_keep_the_bits_on_any_cpu_count(reported_cpus, cpus, n, d, runs,
+                                                         cells, kind, mode):
+    projector, objective = projector_for(kind, d), objective_for(kind, d)
+    params = params_for(n, mode)
+    horizon = 12
+    with block_cells(cells):
+        started = reported_cpus(cpus)
+        report = decay_experiment(objective, projector, params, runs, horizon, seed=5)
+        threaded = bool(started)
+        reported_cpus(1)
+        pair, cons_sq = decay_reference(objective, projector, params, runs, horizon, seed=5)
+    assert threaded == (cpus > 1)
+    assert_same_bits(report.mean_pairwise_sq, pair)
+    assert_same_bits(report.mean_consensus_sq, cons_sq)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("mode", list(NoiseMode))
+def test_a_sharpe_stack_is_evaluated_whole(reported_cpus, cpus, mode):
+    # BLAS may round a Sharpe row in a smaller block differently, so the
+    # run ranges of this stack must not be evaluated one by one.
+    objective = neg_sharpe(MarketStats(*market.demo_market(20)))
+    params = params_for(100, mode)
+    reported_cpus(cpus)
+    report = decay_experiment(objective, simplex(20), params, 100, 12, seed=5)
+    reported_cpus(1)
+    pair, cons_sq = decay_reference(objective, simplex(20), params, 100, 12, seed=5)
+    assert_same_bits(report.mean_pairwise_sq, pair)
+    assert_same_bits(report.mean_consensus_sq, cons_sq)
+
+
+def test_the_portfolio_decay_stack_writes_the_same_bytes_on_one_worker(tmp_path,
+                                                                       reported_cpus):
+    # 100 runs of (100, 20): four run ranges of 25 runs on four reported CPUs.
+    assert main(["synth", "--assets", "20", "--rows", "400", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["ingest", str(tmp_path / "prices.csv"), "--out", str(tmp_path)]) == 0
+    started = reported_cpus(4)
+    trees = {}
+    for name, extra in (("all", []), ("one", ["--workers", "1"])):
+        started.clear()
+        out = tmp_path / name
+        assert main(["diagnose", "--stats", str(tmp_path / "stats.txt"), "--runs", "100",
+                     "--horizon", "5", "--seed", "7", "--out", str(out), *extra]) == 0
+        trees[name] = ((out / "decay.csv").read_bytes(), list(started))
+    assert trees["all"][1] and not trees["one"][1]
+    assert trees["one"][0] == trees["all"][0]
+
+
 # ------------------------------------------------------------- the guards
 
 
@@ -303,6 +389,31 @@ class NanAfter:
 
     def project(self, v):
         return self.inner.project(v)
+
+
+class IgnoresOut:
+    """A duck-typed simplex projector that returns a new array."""
+
+    def __init__(self, d):
+        self.inner, self.dim = simplex(d), d
+
+    def project_rows(self, vs, out=None):
+        return self.inner.project_rows(vs)
+
+    def project(self, v):
+        return self.inner.project(v)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_projector_that_ignores_out_gives_a_run_range_stack_its_rows(reported_cpus, cpus):
+    params = params_for(8, NoiseMode.INDEPENDENT)
+    objective = objective_for("simplex", 4)
+    reported_cpus(cpus)
+    with block_cells(40):  # 50 ranges of one run
+        want = decay_experiment(objective, simplex(4), params, 50, 6, seed=3)
+        got = decay_experiment(objective, IgnoresOut(4), params, 50, 6, seed=3)
+    assert_same_bits(got.mean_pairwise_sq, want.mean_pairwise_sq)
+    assert_same_bits(got.mean_consensus_sq, want.mean_consensus_sq)
 
 
 # Finite on any input, so only the scan of the projector's output can

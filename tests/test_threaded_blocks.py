@@ -23,7 +23,8 @@ import pytest
 from cbopt import core, metaio
 from cbopt.core import CboParams, Ensemble, NoiseMode, predictor_step, run
 from cbopt.core import write_trace_csv
-from cbopt.errors import NumericDomainError
+from cbopt.diagnostics import decay_experiment
+from cbopt.errors import ConfigurationError, NumericDomainError
 from cbopt.objectives import rastrigin, sphere
 from cbopt.projections import ball, box, simplex
 
@@ -139,6 +140,27 @@ def pairwise_reference(pos, com):
 
 
 # ------------------------------------------------------------------- kernels
+
+
+def test_predictor_step_writes_into_out(cpus, started):
+    cpus(3)
+    params = CboParams(lam=1.3, sigma=0.7, beta=1.0, h=0.05, n_particles=9)
+    ens = Ensemble(values(0, (5, 9, 25)), np.zeros((5, 9)))
+    cons, eta = values(1, (5, 25)), values(2, (5, 25))
+    want = predictor_step(ens, cons, params, eta)
+    out = np.full((5, 9, 25), np.nan)
+    assert predictor_step(ens, cons, params, eta, out) is out
+    assert_same_bits(out, want)
+    # The rows of three runs, as a range of runs passes them.
+    part = Ensemble(ens.positions[1:4], ens.objective_values[1:4])
+    assert predictor_step(part, cons[1:4], params, eta[1:4], out[1:4]) is not None
+    assert_same_bits(out, want)
+    frozen = np.empty((5, 9, 25))
+    frozen.flags.writeable = False
+    for bad in (np.empty((5, 9, 24)), np.empty((5, 9, 25), np.float32), frozen,
+                ens.positions, ens.positions[::-1], [[0.0] * 25] * 45):
+        with pytest.raises(ConfigurationError, match="out must be"):
+            predictor_step(ens, cons, params, eta, bad)
 
 
 @pytest.mark.parametrize("mode", list(NoiseMode))
@@ -418,6 +440,76 @@ def test_every_range_runs_once_under_stress(monkeypatch, cpus):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert np.all(counts == 5)
+    assert threading.active_count() == 1
+
+
+def test_one_range_per_thread_when_asked(cpus, one_row_blocks, started):
+    cpus(3)
+    done = np.zeros(3)
+
+    def body(lo, hi):
+        done[lo:hi] += 1.0
+
+    metaio._each_block((3, 1), body, 0)
+    assert started == []  # fewer than two ranges per thread
+    metaio._each_block((3, 1), body, 0, per_thread=1)
+    assert sorted(started) == ["block-1", "block-2"]
+    assert np.all(done == 2.0)
+
+
+def test_a_call_from_a_shared_range_runs_inline(cpus, one_row_blocks, started):
+    """A kernel a worker calls runs all its blocks on that worker: the worker
+    does not see the caller's CPU cap, so it must not start threads."""
+    cpus(3)
+    seen = []
+
+    def inner(lo, hi, scratch):
+        seen.append(threading.current_thread().name)
+
+    def body(lo, hi, scratch):
+        before = len(seen)
+        metaio._each_block((8, 1), inner)
+        assert seen[before:] == [threading.current_thread().name] * 8
+
+    metaio._each_block((6, 1), body)
+    assert sorted(started) == ["block-1", "block-2"]
+    assert len(seen) == 48
+    assert not metaio._SHARING.active
+    metaio._each_block((8, 1), inner)  # the caller may start threads again
+    assert len(started) == 4
+
+
+def test_decay_run_ranges_keep_their_bits_under_stress(monkeypatch, cpus):
+    """Eight threads on eight run ranges, a tiny switch interval, and a new
+    simplex projector per call, so the threads grow its shared tile of k
+    while they project: the statistics must be the one-thread ones."""
+    monkeypatch.setattr(metaio, "_BLOCK_CELLS", 64)
+    params = CboParams(lam=1.0, sigma=0.7, beta=30.0, h=0.1, n_particles=8, seed=3)
+    objective = sphere(np.linspace(0.0, 0.3, 5))
+
+    def stack():
+        report = decay_experiment(objective, simplex(5), params, 61, 8, seed=4)
+        return report.mean_pairwise_sq, report.mean_consensus_sq
+
+    cpus(1)
+    want = stack()
+
+    def expire(signum, frame):
+        raise TimeoutError("the threads did not finish within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cpus(8)
+        for _ in range(5):
+            for got, expected in zip(stack(), want):
+                assert_same_bits(got, expected)
+    finally:
+        sys.setswitchinterval(interval)
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert threading.active_count() == 1
 
 
