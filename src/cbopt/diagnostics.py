@@ -205,9 +205,9 @@ def decay_experiment(
 
     A step's per-run work (the pairwise and consensus statistics, the
     consensus point, the predictor and the corrector) is one
-    :func:`~cbopt.metaio._each_block` call over ranges of whole runs, one
-    per usable CPU and thread but none under ``_BLOCK_CELLS // 4`` cells (a
-    small stack runs inline).  The noise draw, the evaluation of the whole
+    :func:`~cbopt.metaio._each_block` call over ranges of whole runs, two
+    per usable CPU but none under ``_BLOCK_CELLS // 4`` cells (a small
+    stack runs inline).  The noise draw, the evaluation of the whole
     stack (one ``eval_many`` call: its BLAS bits depend on its row count)
     and the new ``Ensemble``'s check stay on the calling thread.  No run's
     numbers depend on another's, so the bits depend on neither the ranges
@@ -230,7 +230,8 @@ def decay_experiment(
     run_pair = np.empty((runs, horizon + 1))
     run_cons_sq = np.empty((runs, horizon + 1))
     run_cells = w0[0].size
-    per_range = max(-(-runs // metaio.usable_cpus()), metaio._BLOCK_CELLS // 4 // run_cells)
+    per_range = max(-(-runs // (2 * metaio.usable_cpus())),
+                    metaio._BLOCK_CELLS // 4 // run_cells)
     spare = None  # the positions of the step before last; w0 is read again below
 
     def body(lo, hi):  # step n of runs lo:hi: reads the loop's ens, n, eta and new
@@ -251,7 +252,7 @@ def decay_experiment(
                     block = draw_step_noise(params, dim, rngs, steps=steps)
                 eta = block[:, n % block_steps]
                 new = np.empty(w0.shape) if spare is None else spare
-            _each_block(w0.shape, body, 0, per_range * run_cells, 1)
+            _each_block(w0.shape, body, 0, per_range * run_cells)
             if n < horizon:
                 spare = ens.positions if n else None
                 ens = Ensemble(new, objective.eval_many(new.reshape(-1, dim)).reshape(runs, -1),

@@ -320,25 +320,24 @@ def _row_ranges(n_rows: int, row_cells: int, cells: int) -> list[tuple[int, int]
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _each_block(shape, body, buffers: int = 1, cells: int | None = None,
-                per_thread: int = 2) -> None:
+def _each_block(shape, body, buffers: int = 1, cells: int | None = None) -> None:
     """``body(lo, hi, *scratch)`` for every row range of about ``cells``
     cells (``_BLOCK_CELLS`` by default) over the first axis of an array of
     ``shape`` (one range, the whole array, if it fits); ``scratch`` is
     ``buffers`` uninitialized arrays shaped like the largest range.
 
-    The ranges are shared by P = ``min(len(ranges) // per_thread,
-    usable_cpus())`` threads, each taking the next range in turn, so a
-    thread the host starts late takes fewer; with P < 2 they run inline.
-    By default P leaves at least two ranges per thread: one 1 MB block is
-    about as much work as starting a thread and faulting in its output.
-    Every thread, the caller's included, gets its own scratch, allocated
-    here on the calling thread.  Each worker runs under the caller's numpy
-    error state; every thread is joined before this returns or raises, so
-    :func:`_pieces` may fork again afterwards, and the first exception, the
-    caller's or a worker's, is re-raised here.  A call made by a body of a
-    multi-thread call runs all its ranges inline: the workers do not see
-    ``_CPU_CAP``, and P threads that each started more would exceed it.
+    Fewer than four ranges run inline.  More are shared by
+    P = ``min(len(ranges) // 2, usable_cpus())`` threads, each taking the
+    next range in turn, so a thread the host starts late takes fewer.  P
+    leaves at least two ranges per thread: one 1 MB block is about as much
+    work as starting a thread and faulting in its output.  Every thread,
+    the caller's included, gets its own scratch, allocated here on the
+    calling thread.  Each worker runs under the caller's numpy error state;
+    every thread is joined before this returns or raises, so :func:`_pieces`
+    may fork again afterwards, and the first exception, the caller's or a
+    worker's, is re-raised here.  A call made by a body of a multi-thread
+    call runs all its ranges inline: the workers do not see ``_CPU_CAP``,
+    and P threads that each started more would exceed it.
 
     ``body`` must write only rows ``lo:hi`` of its outputs and its own
     scratch, and allocate nothing full-size.  It may call other kernels,
@@ -356,12 +355,12 @@ def _each_block(shape, body, buffers: int = 1, cells: int | None = None,
     def scratch() -> tuple:
         return tuple(np.empty((ranges[0][1], *shape[1:])) for _ in range(buffers))
 
-    if len(ranges) < 2 * per_thread or getattr(_SHARING, "active", False):
+    if len(ranges) < 4 or getattr(_SHARING, "active", False):
         arrays = scratch()
         for lo, hi in ranges:
             body(lo, hi, *arrays)
         return
-    procs = min(len(ranges) // per_thread, usable_cpus())
+    procs = min(len(ranges) // 2, usable_cpus())
     todo = iter(ranges)  # shared by the threads: next() holds the GIL
     settings = np.geterr()
     call = np.geterrcall()

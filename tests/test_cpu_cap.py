@@ -78,9 +78,9 @@ def test_two_workers_start_at_most_one_thread_and_one_process(tmp_path, spawned)
 
 
 def ball_stack(out, *extra):
-    """A decay stack of 4 runs of (64, 6000) on the unit ball: one run range
-    per usable CPU, whose projections are four or more row blocks, so a
-    nested projection on a worker thread would start threads of its own."""
+    """A decay stack of 4 runs of (64, 6000) on the unit ball: four run ranges
+    of one run, whose projections are four row blocks each, so a nested
+    projection on a worker thread would start threads of its own."""
     return ["diagnose", "--objective", "sphere", "--dim", str(DIM), "--particles", "64",
             "--projector", "ball:" + " ".join(["0"] * DIM) + ",1", "--runs", "4",
             "--horizon", "2", "--reference", "none", "--seed", "7", "--out", str(out), *extra]

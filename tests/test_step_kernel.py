@@ -291,12 +291,12 @@ def test_decay_experiment_keeps_the_bits_of_the_old_loop(n, d, runs, cells, kind
     assert_same_bits(report.mean_consensus_sq, cons_sq)
 
 
-# (N, d, runs, block cells) of stacks the decay experiment cuts into one
-# range of runs per usable CPU: in the second case each run is more than a
-# whole block, the third is the portfolio benchmark's shape, and in the last
-# a range holds at least 3 runs (a quarter of the block cells), so 7 CPUs
-# take 6 ranges of 5 runs and one of 1.
-RANGE_CASES = [(8, 4, 200, 40), (2, 3, 9, 4), (100, 20, 100, None), (8, 4, 31, 500)]
+# (N, d, runs, block cells) of stacks the decay experiment cuts into two
+# ranges of runs per usable CPU: in the second case each run is more than a
+# whole block, the third is the portfolio benchmark's shape, whose ranges
+# hold at least 16 runs (a quarter block), and in the last at least 3, so 7
+# CPUs take ten ranges of 3 runs and one of 1.
+RANGE_CASES = [(8, 4, 200, 40), (2, 3, 16, 4), (100, 20, 100, None), (8, 4, 31, 500)]
 
 
 @pytest.fixture
@@ -357,7 +357,7 @@ def test_a_sharpe_stack_is_evaluated_whole(reported_cpus, cpus, mode):
 
 def test_the_portfolio_decay_stack_writes_the_same_bytes_on_one_worker(tmp_path,
                                                                        reported_cpus):
-    # 100 runs of (100, 20): four run ranges of 25 runs on four reported CPUs.
+    # 100 runs of (100, 20): seven run ranges of 16 runs on four reported CPUs.
     assert main(["synth", "--assets", "20", "--rows", "400", "--seed", "7",
                  "--out", str(tmp_path)]) == 0
     assert main(["ingest", str(tmp_path / "prices.csv"), "--out", str(tmp_path)]) == 0

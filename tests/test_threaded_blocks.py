@@ -443,20 +443,6 @@ def test_every_range_runs_once_under_stress(monkeypatch, cpus):
     assert threading.active_count() == 1
 
 
-def test_one_range_per_thread_when_asked(cpus, one_row_blocks, started):
-    cpus(3)
-    done = np.zeros(3)
-
-    def body(lo, hi):
-        done[lo:hi] += 1.0
-
-    metaio._each_block((3, 1), body, 0)
-    assert started == []  # fewer than two ranges per thread
-    metaio._each_block((3, 1), body, 0, per_thread=1)
-    assert sorted(started) == ["block-1", "block-2"]
-    assert np.all(done == 2.0)
-
-
 def test_a_call_from_a_shared_range_runs_inline(cpus, one_row_blocks, started):
     """A kernel a worker calls runs all its blocks on that worker: the worker
     does not see the caller's CPU cap, so it must not start threads."""
