@@ -409,7 +409,7 @@ def test_a_projector_that_ignores_out_gives_a_run_range_stack_its_rows(reported_
     params = params_for(8, NoiseMode.INDEPENDENT)
     objective = objective_for("simplex", 4)
     reported_cpus(cpus)
-    with block_cells(40):  # 50 ranges of one run
+    with block_cells(40):  # two ranges of runs per reported CPU
         want = decay_experiment(objective, simplex(4), params, 50, 6, seed=3)
         got = decay_experiment(objective, IgnoresOut(4), params, 50, 6, seed=3)
     assert_same_bits(got.mean_pairwise_sq, want.mean_pairwise_sq)
