@@ -195,6 +195,8 @@ def _build_problem(cfg: dict):
     if kind == "sharpe":
         stats = _load_stats(cfg)
         dim = stats.dim
+        if cfg.get("dim") not in (None, dim):
+            raise ConfigurationError(f"dim={cfg['dim']} does not match the stats file's d={dim}")
     else:
         dim = cfg.get("dim")
         if dim is None:

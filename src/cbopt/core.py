@@ -258,10 +258,11 @@ def _center_of_mass(pos: np.ndarray) -> np.ndarray:
 def _pairwise_sq(pos: np.ndarray, com: np.ndarray):
     """:func:`mean_pairwise_sq` of validated positions with center of mass ``com``.
 
-    The squares are summed over each run's whole ``N*d`` block at once.
+    The squares are summed over each run's whole ``N*d`` block at once,
+    into the center if :func:`metaio._part` repeated it (a new array).
     """
-    dev = np.empty(pos.shape)
-    np.subtract(pos, _part(com, 0, len(pos), pos.ndim, dev), out=dev)
+    com = _part(com, 0, len(pos), pos)
+    dev = np.subtract(pos, com, out=com if com.shape == pos.shape else None)
     np.multiply(dev, dev, out=dev)
     sq = dev.reshape(pos.shape[:-2] + (-1,)).sum(axis=-1)
     out = 2.0 * sq / (pos.shape[-2] - 1)
@@ -313,12 +314,12 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
     run r's rows are ``default_rng(seeds[r])``'s standard normals, times
     ``init_std``, plus ``mean``.
 
-    All R·N rows are projected in one call, in place (``out`` is the draw),
-    which gives the bits of one call per run because the projection is
-    row-wise; the array the projector returns is used.  Each run is then
-    evaluated by its own ``eval_many`` call, as a lone run would be: a
-    batched evaluation is a BLAS call of another shape, whose bits are not
-    the same.
+    All R·N rows are projected in one call, in place (``out`` is the draw,
+    and another array the projector returns is copied into it), which gives
+    the bits of one call per run because the projection is row-wise.  Each
+    run is then evaluated by its own ``eval_many`` call, as a lone run would
+    be: a batched evaluation is a BLAS call of another shape, whose bits are
+    not the same.
     """
     raw = np.empty((len(seeds), params.n_particles, mean.shape[0]))
     for r, seed in enumerate(seeds):
@@ -328,11 +329,13 @@ def _starts(params: CboParams, mean, init_std, projector, objective, seeds):
         raw *= init_std
         raw += mean
         flat = raw.reshape(-1, raw.shape[-1])
-        positions = projector.project_rows(flat, out=flat).reshape(raw.shape)
+        positions = projector.project_rows(flat, out=flat)
+        if positions is not flat:
+            flat[...] = np.reshape(positions, flat.shape)
         values = np.empty(raw.shape[:-1])
-        for r, pos in enumerate(positions):
+        for r, pos in enumerate(raw):
             values[r] = objective.eval_many(pos)
-    return positions, values
+    return raw, values
 
 
 def consensus_point(ensemble: Ensemble, beta: float) -> np.ndarray:
@@ -400,7 +403,8 @@ def predictor_step(
     The expression is evaluated in row blocks (whole runs when batched),
     on every usable CPU, by in-place ufuncs with the same operands in the
     same order, so the bits are those of the whole-array expression; each
-    block computes its own ``w_i - consensus``.
+    block computes its own ``w_i - consensus``, and repeats short per-run
+    rows to its particles (:func:`metaio._part`).
     """
     pos = ensemble.positions
     consensus = np.asarray(consensus, dtype=float)
@@ -426,19 +430,16 @@ def predictor_step(
     drift = params.lam * params.h
     spread = params.sigma * math.sqrt(params.h)
 
-    def body(lo, hi, dev, spare=None):
+    def body(lo, hi, dev):
         w, new, d = pos[lo:hi], out[lo:hi], dev[: hi - lo]
-        np.subtract(w, _part(consensus, lo, hi, pos.ndim, dev), out=d)
+        np.subtract(w, _part(consensus, lo, hi, w), out=d)
         np.multiply(drift, d, out=new)
         np.subtract(w, new, out=new)
         np.multiply(spread, d, out=d)
-        np.multiply(d, _part(eta, lo, hi, pos.ndim, spare), out=d)
+        np.multiply(d, _part(eta, lo, hi, w), out=d)
         np.add(new, d, out=new)
 
-    # Stacked short rows take a second scratch for the COMMON noise row of
-    # each run, expanded to its particles (see metaio._part).
-    short = pos.ndim == 3 and mode is NoiseMode.COMMON and pos.shape[-1] < _SHORT_ROW
-    _each_block(pos.shape, body, 1 + short)
+    _each_block(pos.shape, body)
     return out
 
 

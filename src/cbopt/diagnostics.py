@@ -211,8 +211,8 @@ def decay_experiment(
     stack (one ``eval_many`` call: its BLAS bits depend on its row count)
     and the new ``Ensemble``'s check stay on the calling thread.  No run's
     numbers depend on another's, so the bits depend on neither the ranges
-    nor the CPU count.  A step writes its positions into the array of the
-    step before last, so no step allocates one.
+    nor the CPU count.  Two position arrays, allocated before any seed is
+    spawned, swap roles each step, so no step allocates one.
     """
     if not _is_int(runs) or runs < 1:
         raise ConfigurationError("runs must be a positive integer")
@@ -221,20 +221,20 @@ def decay_experiment(
     report = check_params(params)
     dim = projector.dim
     mean = _start_mean(dim, init_mean, init_std, projector, objective)
+    new = np.empty((runs, params.n_particles, dim))
+    run_pair = np.empty((runs, horizon + 1))
+    run_cons_sq = np.empty((runs, horizon + 1))
     seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(runs)]
     w0, values = _starts(params, mean, init_std, projector, objective, [s for s, _ in seeds])
     ens = Ensemble(w0, values)
     rngs = [np.random.default_rng(s) for _, s in seeds]
-    step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else w0[0].size)
-    block_steps = max(1, _NOISE_CELLS // step_cells)
-    run_pair = np.empty((runs, horizon + 1))
-    run_cons_sq = np.empty((runs, horizon + 1))
     run_cells = w0[0].size
+    step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else run_cells)
+    block_steps = max(1, _NOISE_CELLS // step_cells)
     per_range = max(-(-runs // (2 * metaio.usable_cpus())),
                     metaio._BLOCK_CELLS // 4 // run_cells)
-    spare = None  # the positions of the step before last; w0 is read again below
 
-    def body(lo, hi):  # step n of runs lo:hi: reads the loop's ens, n, eta and new
+    def body(lo, hi):  # step n of runs lo:hi: reads the loop's ens, n, block and new
         part = ens if hi - lo == runs else Ensemble(ens.positions[lo:hi],
                                                     ens.objective_values[lo:hi], n)
         pos = part.positions
@@ -242,28 +242,23 @@ def decay_experiment(
         cons = consensus_point(part, params.beta)
         run_cons_sq[lo:hi, n] = _mean(_row_sq(pos, cons[:, None, :]), axis=-1)
         if n < horizon:
-            _advance(part, cons, eta[lo:hi], params, projector, new[lo:hi])
-
-    with np.errstate(all="ignore"):  # the steps' checks report what is not finite
-        for n in range(horizon + 1):
-            if n < horizon:
-                if n % block_steps == 0:
-                    steps = min(block_steps, horizon - n)
-                    block = draw_step_noise(params, dim, rngs, steps=steps)
-                eta = block[:, n % block_steps]
-                new = np.empty(w0.shape) if spare is None else spare
-            _each_block(w0.shape, body, 0, per_range * run_cells)
-            if n < horizon:
-                spare = ens.positions if n else None
-                ens = Ensemble(new, objective.eval_many(new.reshape(-1, dim)).reshape(runs, -1),
-                               n + 1)
+            _advance(part, cons, block[lo:hi, n % block_steps], params, projector, new[lo:hi])
 
     # np.add.accumulate adds the runs one at a time in run-index order, so
     # the totals do not depend on how the runs were batched.
+    with np.errstate(all="ignore"):  # the steps' checks report what is not finite
+        sum_w0 = np.add.accumulate(w0.sum(axis=1))[-1]
+        sum_sq0 = float(np.add.accumulate((w0 * w0).reshape(runs, -1).sum(axis=1))[-1])
+        for n in range(horizon + 1):
+            if n < horizon and n % block_steps == 0:
+                block = draw_step_noise(params, dim, rngs, steps=min(block_steps, horizon - n))
+            _each_block(new.shape, body, 0, per_range * run_cells)
+            if n < horizon:
+                values = objective.eval_many(new.reshape(-1, dim)).reshape(runs, -1)
+                ens, new = Ensemble(new, values, n + 1), ens.positions
+
     pair = np.add.accumulate(run_pair)[-1] / runs
     cons_sq = np.add.accumulate(run_cons_sq)[-1] / runs
-    sum_w0 = np.add.accumulate(w0.sum(axis=1))[-1]
-    sum_sq0 = float(np.add.accumulate((w0 * w0).reshape(runs, -1).sum(axis=1))[-1])
     total_particles = runs * params.n_particles
     mean_w0 = sum_w0 / total_particles
     initial_variance = sum_sq0 / total_particles - float(mean_w0 @ mean_w0)

@@ -31,7 +31,6 @@ values column by column (:func:`_row_sum`), with numpy's bits.
 from __future__ import annotations
 
 import contextvars
-import functools
 import itertools
 import math
 import os
@@ -390,39 +389,24 @@ def _each_block(shape, body, buffers: int = 1, cells: int | None = None) -> None
         raise errors[0]
 
 
-def _part(operand: np.ndarray, lo: int, hi: int, ndim: int, buf=None) -> np.ndarray:
-    """The part of ``operand`` that row block ``[lo, hi)`` of an ``ndim``-rank
-    array uses: an operand of that rank is cut with it, and a lower-rank one
+def _part(operand: np.ndarray, lo: int, hi: int, block: np.ndarray) -> np.ndarray:
+    """The part of ``operand`` that ``block``, rows ``[lo, hi)`` of an array,
+    uses: an operand of the block's rank is cut with it, and a lower-rank one
     broadcasts whole.
 
-    Given scratch ``buf`` shaped like the array's blocks, an ``(R, 1, d)``
-    operand of rows shorter than ``_SHORT_ROW`` is expanded instead: its
-    part's row for each run is copied to each of the run's rows in ``buf``,
-    which is returned.  numpy applies a ufunc with the ``(m, 1, d)`` part one
-    d-wide row at a time: at (200, 8, 4) a subtract takes about 18 us with
-    it and 3 with a full-size operand, and the copy, a ``take`` of each
-    run's row, about 3.  The ufuncs are elementwise, so no bit changes.
+    An ``(R, 1, d)`` operand of rows shorter than ``_SHORT_ROW`` is
+    repeated to the block's particles instead (``np.repeat``, a new array).
+    numpy applies a ufunc with the ``(m, 1, d)`` part one d-wide row at a
+    time: at (200, 8, 4) a subtract takes about 13 us with it and 4 with a
+    full-size operand, and this call about 3.  The ufuncs are elementwise,
+    so no bit changes.
     """
-    if operand.ndim != ndim:
+    if operand.ndim != block.ndim:
         return operand
     part = operand[lo:hi]
-    if buf is None or not (ndim == 3 and part.shape[1] == 1 < buf.shape[1]
-                           and part.shape[2] < _SHORT_ROW):
-        return part
-    m, n, d = hi - lo, buf.shape[1], part.shape[2]
-    full = buf[:m]
-    np.take(part.reshape(m, d), _run_rows(m, n), axis=0, out=full.reshape(m * n, d),
-            mode="clip")
-    return full
-
-
-@functools.lru_cache(maxsize=16)
-def _run_rows(m: int, n: int) -> np.ndarray:
-    """The run of each of ``m * n`` rows, ``n`` to a run: :func:`_part`'s take
-    index, shared by its callers and so read-only."""
-    rows = np.arange(m * n) // n
-    rows.flags.writeable = False
-    return rows
+    if block.ndim == 3 and part.shape[1] == 1 < block.shape[1] and part.shape[2] < _SHORT_ROW:
+        return np.repeat(part, block.shape[1], axis=1)
+    return part
 
 
 def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None):
@@ -441,10 +425,10 @@ def _row_sq(rows: np.ndarray, center: np.ndarray, eta=None):
     out = np.empty(rows.shape[:-1])
 
     def body(lo, hi, buf):
-        t = buf[: hi - lo]
-        np.subtract(rows[lo:hi], _part(center, lo, hi, rows.ndim, buf), out=t)
+        w, t = rows[lo:hi], buf[: hi - lo]
+        np.subtract(w, _part(center, lo, hi, w), out=t)
         if eta is not None:
-            np.multiply(t, _part(eta, lo, hi, rows.ndim), out=t)
+            np.multiply(t, _part(eta, lo, hi, w), out=t)
         np.multiply(t, t, out=t)
         _row_sum(t, out[lo:hi])
 

@@ -632,6 +632,38 @@ def test_a_frontier_too_large_to_hold_fails_at_once_with_one_error_line(tmp_path
     assert not (out / "frontier.csv").exists()
 
 
+def test_a_decay_stack_too_large_to_hold_fails_at_once_with_one_error_line(tmp_path, capsys,
+                                                                           market3):
+    # 10**12 runs of (100, 3) are 2.4e15 bytes: the stack's first allocation
+    # fails before any run's seed is spawned.
+    stats = tmp_path / "stats.txt"
+    stats.write_text(format_stats(market3))
+    out = tmp_path / "out"
+    assert main(["diagnose", "--stats", str(stats), "--runs", "1000000000000", "--horizon", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_a_dim_that_contradicts_the_stats_file_is_an_error_line(tmp_path, capsys, market3,
+                                                                 command, given):
+    stats = tmp_path / "stats.txt"
+    stats.write_text(format_stats(market3))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=5\n")
+    dim = ["--dim", "5"] if given == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main([command, "--stats", str(stats), *dim, "--max-iters", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dim=5 does not match the stats file's d=3\n"
+    assert not out.exists()
+    assert main([command, "--stats", str(stats), "--dim", "3", "--max-iters", "2",
+                 "--out", str(out)]) == 0
+
+
 def test_a_demo_market_above_the_cap_is_an_error_line(tmp_path, capsys):
     # One asset over 2**12: the check comes before any allocation.
     assert main(["synth", "--assets", "4097", "--rows", "2", "--out", str(tmp_path / "out")]) == 1

@@ -214,6 +214,24 @@ def test_decay_validation():
         decay_experiment(obj, simplex(2), params(), runs=2, horizon=-1, seed=0)
 
 
+def test_a_stack_too_large_to_hold_fails_before_any_seed_is_spawned(monkeypatch):
+    # 10**12 runs of (8, 4) are 2.56e14 bytes, more than a 64-bit address
+    # space maps.  Spawning 10**12 seeds first would take hours, so a spawn
+    # fails the test at once.
+    spawned = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            raise AssertionError("a seed was spawned before the stack was allocated")
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    with pytest.raises(MemoryError):
+        decay_experiment(sphere(np.zeros(4)), simplex(4), params(), runs=10**12, horizon=2,
+                         seed=0)
+    assert spawned == []
+
+
 def test_decay_csv_layout(tmp_path):
     report = decay_experiment(
         sphere(np.zeros(2)), simplex(2), params(), runs=2, horizon=4, seed=5

@@ -7,8 +7,9 @@ from ``16 * d**2`` rows on), the row sums of ``metaio._row_sq`` (from
 ``4 * d**2`` rows on) and the ``(R, N, d)`` center of mass of
 ``core._center_of_mass``.  Each must give the
 bits of the numpy row reductions it stands in for, on every input.  The
-stacked step's ufuncs with a per-run ``(R, 1, d)`` operand copy it to every
-particle's row first (``metaio._part``), with the bits of the broadcast.
+stacked step's ufuncs with a per-run ``(R, 1, d)`` operand repeat it to
+every particle's row first (``np.repeat`` in ``metaio._part``), with the
+bits of the broadcast.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbopt import CboParams, Ensemble, NoiseMode, metaio, predictor_step, simplex
+from cbopt import CboParams, Ensemble, NoiseMode, core, metaio, predictor_step, simplex
 from cbopt.core import _center_of_mass, mean_pairwise_sq
 from cbopt.metaio import _row_sq
 
@@ -185,14 +186,21 @@ def test_the_center_of_mass_keeps_the_reduction_bits(d, runs, n):
 @pytest.mark.parametrize("runs, n", [(200, 8), (3, 30), (5, 2)])
 @pytest.mark.parametrize("cells", [None, 40])  # None: one block; 40: threaded blocks
 def test_expanded_run_operands_keep_the_broadcast_bits(d, runs, n, cells, monkeypatch):
-    # Rows shorter than _SHORT_ROW copy each run's (1, d) operand row to its
-    # n particles before the ufunc; 8 values keep the broadcast.
+    # Rows shorter than _SHORT_ROW repeat each run's (1, d) operand row to
+    # its n particles before the ufunc; 8 values keep the broadcast.
     if cells is not None:
         monkeypatch.setattr(metaio, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(metaio, "usable_cpus", lambda: 3)
     expanded = []
-    take = metaio._run_rows
-    monkeypatch.setattr(metaio, "_run_rows", lambda m, k: expanded.append(m) or take(m, k))
+    part = metaio._part
+
+    def spy(operand, lo, hi, block):  # records whether the part gained the block's rows
+        got = part(operand, lo, hi, block)
+        expanded.append(got.shape[1:] != operand.shape[1:])
+        return got
+
+    for module in (metaio, core):
+        monkeypatch.setattr(module, "_part", spy)
     rng = np.random.default_rng((d, runs, n))
     pos = rng.standard_normal((runs, n, d)) * 10.0 ** rng.integers(-8, 9, (runs, n, d))
     cons = rng.standard_normal((runs, d))
@@ -208,4 +216,4 @@ def test_expanded_run_operands_keep_the_broadcast_bits(d, runs, n, cells, monkey
     dev = pos - com
     dev *= dev
     assert_same_bits(mean_pairwise_sq(pos), 2.0 * dev.reshape(runs, -1).sum(-1) / (n - 1))
-    assert bool(expanded) == (d < metaio._SHORT_ROW)
+    assert any(expanded) == (d < metaio._SHORT_ROW)

@@ -392,13 +392,16 @@ class NanAfter:
 
 
 class IgnoresOut:
-    """A duck-typed simplex projector that returns a new array."""
+    """A duck-typed simplex projector that returns a new array, and keeps
+    each array it returned with a copy in ``returned``."""
 
     def __init__(self, d):
-        self.inner, self.dim = simplex(d), d
+        self.inner, self.dim, self.returned = simplex(d), d, []
 
     def project_rows(self, vs, out=None):
-        return self.inner.project_rows(vs)
+        got = self.inner.project_rows(vs)
+        self.returned.append((got, got.copy()))
+        return got
 
     def project(self, v):
         return self.inner.project(v)
@@ -414,6 +417,22 @@ def test_a_projector_that_ignores_out_gives_a_run_range_stack_its_rows(reported_
         got = decay_experiment(objective, IgnoresOut(4), params, 50, 6, seed=3)
     assert_same_bits(got.mean_pairwise_sq, want.mean_pairwise_sq)
     assert_same_bits(got.mean_consensus_sq, want.mean_consensus_sq)
+
+
+@pytest.mark.parametrize("mode", list(NoiseMode))
+def test_the_decay_stack_overwrites_no_array_a_projector_returned(mode):
+    # The stack swaps two position arrays; the starts' draw is one of them,
+    # so the starts copy the projector's rows into it.
+    params = params_for(8, mode)
+    objective = objective_for("simplex", 4)
+    projector = IgnoresOut(4)
+    report = decay_experiment(objective, projector, params, 30, 6, seed=3)
+    pair, cons_sq = decay_reference(objective, simplex(4), params, 30, 6, seed=3)
+    assert_same_bits(report.mean_pairwise_sq, pair)
+    assert_same_bits(report.mean_consensus_sq, cons_sq)
+    assert len(projector.returned) == 1 + 6  # the starts, then one call per step
+    for got, kept in projector.returned:
+        assert_same_bits(got, kept)
 
 
 # Finite on any input, so only the scan of the projector's output can
