@@ -9,7 +9,6 @@ diagnostics, and a small CLI pipeline.
 """
 
 from .baseline import (
-    ReferenceSolution,
     grid_search_simplex,
     simplex_lattice,
 )
@@ -17,7 +16,6 @@ from .core import (
     CboParams,
     Ensemble,
     NoiseMode,
-    RunResult,
     RunTrace,
     TraceRecord,
     cbo_step,
@@ -32,7 +30,6 @@ from .core import (
 from .diagnostics import (
     DecayReport,
     LaplacePoint,
-    ParamReport,
     Verdict,
     check_params,
     decay_experiment,
@@ -72,9 +69,6 @@ from .objectives import (
     sphere,
 )
 from .projections import (
-    BallProjector,
-    BoxProjector,
-    Projector,
     SimplexProjector,
     ball,
     box,

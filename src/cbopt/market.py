@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -53,6 +54,21 @@ _FRONTIER_CHUNK = 8192
 # --assets is an error line instead of gigabytes of swap.
 _MAX_DEMO_CELLS = 1 << 24
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_date(text: str) -> _dt.date:
+    """The date of the text ``YYYY-MM-DD`` (what ``synth`` writes), else a
+    ``ConfigurationError``.  ``date.fromisoformat`` alone also reads
+    ``20200101`` and week dates from Python 3.11 on, so which files parse
+    would depend on the version."""
+    try:
+        if isinstance(text, str) and _ISO_DATE.fullmatch(text):
+            return _dt.date.fromisoformat(text)
+    except ValueError:  # a month or day out of range
+        pass
+    raise ConfigurationError(f"not a YYYY-MM-DD date: {text!r}")
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -72,7 +88,7 @@ class PriceSeries:
             )
         if len(dates) < 2:
             raise ConfigurationError("a price series needs at least two rows")
-        parsed = [_dt.date.fromisoformat(d) for d in dates]
+        parsed = [_parse_date(d) for d in dates]
         if any(b <= a for a, b in zip(parsed, parsed[1:])):
             raise ConfigurationError("dates must be strictly increasing")
         if not np.all(np.isfinite(prices)) or not np.all(prices > 0):
@@ -184,7 +200,7 @@ def parse_prices(text: str) -> PriceSeries:
                 f"row {rownum}: expected {d + 1} fields, got {len(fields)}", row=rownum
             )
         try:
-            day = _dt.date.fromisoformat(fields[0])
+            day = _parse_date(fields[0])
         except ValueError as exc:
             raise IngestionError(f"row {rownum}: bad date {fields[0]!r}", row=rownum) from exc
         if fields[0] in seen_dates:

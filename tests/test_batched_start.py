@@ -4,8 +4,9 @@
 ``init_ensemble`` does, but projects all R·N rows in one call and then
 evaluates each run on its own.  These tests pin the positions and values
 bit for bit to R separate ``init_ensemble`` calls and to the per-run
-expression both replaced, kept below as the reference, and every bad
-argument to the error ``init_ensemble`` raised for it.
+expression both replaced (``oracles.start``), a decay report to
+``oracles.decay``, whose runs start one by one, and every bad argument to
+the error ``init_ensemble`` raised for it.
 """
 
 import re
@@ -13,12 +14,12 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from cbopt import (
     CboParams,
     NoiseMode,
     box,
     decay_experiment,
-    diagnostics,
     init_ensemble,
     neg_sharpe,
     rastrigin,
@@ -27,15 +28,7 @@ from cbopt import (
 )
 from cbopt.core import _start_mean, _starts
 from cbopt.errors import ConfigurationError, NumericDomainError
-
-
-def bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
-def assert_same_bits(got, want):
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(bits(got), bits(want))
+from conftest import assert_same_bits
 
 
 def params(n=8, mode=NoiseMode.COMMON):
@@ -52,20 +45,6 @@ def problems(market3):
         (box(np.full(5, -2.0), np.full(5, 3.0)), rastrigin(np.full(5, 0.25)),
          np.array([0.5, -0.25, 1.0, 0.0, -0.0]), 2.5),
     ]
-
-
-def start_reference(dim, params, init_mean, init_std, projector, objective, seed):
-    """The body of ``init_ensemble`` before the batched start, verbatim
-    (its argument checks aside)."""
-    if init_mean is None:
-        init_mean = projector.project(np.zeros(dim))
-    mean = np.asarray(init_mean, dtype=float)
-    rng = np.random.default_rng(params.seed if seed is None else seed)
-    raw = rng.standard_normal((params.n_particles, dim))
-    raw *= init_std
-    raw += mean
-    positions = projector.project_rows(raw)
-    return positions, objective.eval_many(positions)
 
 
 def run_seeds(runs, seed=11):
@@ -85,7 +64,7 @@ def test_batched_start_equals_separate_init_ensemble_calls(market3, runs, mode, 
     for r, seed in enumerate(seeds):
         ens = init_ensemble(projector.dim, p, init_mean, init_std, projector, objective,
                             seed=seed)
-        want_positions, want_values = start_reference(
+        want_positions, want_values = oracles.start(
             projector.dim, p, init_mean, init_std, projector, objective, seed
         )
         for got in (positions[r], ens.positions):
@@ -95,23 +74,14 @@ def test_batched_start_equals_separate_init_ensemble_calls(market3, runs, mode, 
 
 
 @pytest.mark.parametrize("which", [0, 1])
-def test_decay_report_equals_one_built_from_separate_starts(market3, monkeypatch, which):
+def test_decay_report_equals_one_built_from_separate_starts(market3, which):
     projector, objective, init_mean, init_std = problems(market3)[which]
-    p = params()
     kwargs = dict(runs=5, horizon=4, seed=21, init_mean=init_mean, init_std=init_std)
-    batched = decay_experiment(objective, projector, p, **kwargs)
-
-    def separate_starts(params, mean, std, proj, obj, seeds):
-        starts = [init_ensemble(proj.dim, params, mean, std, proj, obj, seed=s) for s in seeds]
-        return (np.stack([e.positions for e in starts]),
-                np.stack([e.objective_values for e in starts]))
-
-    monkeypatch.setattr(diagnostics, "_starts", separate_starts)
-    reference = decay_experiment(objective, projector, p, **kwargs)
-    for field in ("mean_pairwise_sq", "pairwise_bound", "mean_consensus_sq",
-                  "consensus_bound"):
-        assert_same_bits(getattr(batched, field), getattr(reference, field))
-    assert batched.initial_variance == reference.initial_variance
+    report = decay_experiment(objective, projector, params(), **kwargs)
+    pair, cons_sq, var0 = oracles.decay(objective, projector, params(), **kwargs)
+    assert_same_bits(report.mean_pairwise_sq, pair)
+    assert_same_bits(report.mean_consensus_sq, cons_sq)
+    assert report.initial_variance == var0
 
 
 def decay(projector, objective, init_mean=None, init_std=1.0):

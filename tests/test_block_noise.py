@@ -1,12 +1,17 @@
-"""Noise drawn for a block of steps at once, against one draw per step."""
+"""Noise drawn for a block of steps at once, against one draw per step.
+
+The decay stack draws each run's noise for a block of steps at a time;
+``oracles.decay`` draws it one step at a time.
+"""
 
 import numpy as np
 import pytest
-from test_batched import _per_run_reference, _projector
 
-from cbopt import CboParams, NoiseMode, decay_experiment, draw_step_noise, rastrigin, sphere
+import oracles
+from cbopt import CboParams, NoiseMode, decay_experiment, draw_step_noise, sphere
 from cbopt import diagnostics
 from cbopt.errors import ConfigurationError
+from conftest import objective_for, projector_for
 
 
 def _params(mode, n=3):
@@ -69,14 +74,12 @@ def _cells_for(block_steps, runs, n, d, mode):
 @pytest.mark.parametrize("kind", ["simplex", "box", "ball"])
 @pytest.mark.parametrize("mode", list(NoiseMode))
 @pytest.mark.parametrize(("block_steps", "horizon"), [(1, 5), (3, 7), (3, 6), (50, 7), (3, 0)])
-def test_block_noise_decay_equals_the_per_run_loop_bit_for_bit(
+def test_block_noise_decay_equals_the_per_step_loop_bit_for_bit(
     monkeypatch, kind, mode, block_steps, horizon
 ):
     runs, n, d, seed = 4, 3, 3, 12345
     params = _params(mode, n)
-    projector = _projector(kind, d)
-    center = np.linspace(-0.4, 0.6, d)
-    objective = rastrigin(center, 0.5) if kind == "ball" else sphere(center)
+    projector, objective = projector_for(kind, d), objective_for(kind, d)
     monkeypatch.setattr(diagnostics, "_NOISE_CELLS", _cells_for(block_steps, runs, n, d, mode))
     draws = []
     real_draw = diagnostics.draw_step_noise
@@ -87,7 +90,7 @@ def test_block_noise_decay_equals_the_per_run_loop_bit_for_bit(
 
     monkeypatch.setattr(diagnostics, "draw_step_noise", counting_draw)
     report = decay_experiment(objective, projector, params, runs, horizon, seed)
-    pair, cons_sq, var0 = _per_run_reference(objective, projector, params, runs, horizon, seed)
+    pair, cons_sq, var0 = oracles.decay(objective, projector, params, runs, horizon, seed)
 
     assert np.array_equal(report.mean_pairwise_sq, pair)
     assert np.array_equal(report.mean_consensus_sq, cons_sq)
@@ -97,15 +100,15 @@ def test_block_noise_decay_equals_the_per_run_loop_bit_for_bit(
     assert draws == [block_steps] * full + ([rest] if rest else [])
 
 
-def test_the_default_block_size_gives_the_per_run_loop():
+def test_the_default_block_size_gives_the_per_step_loop():
     runs, n, d, horizon, seed = 200, 8, 4, 43, 9
     for mode in NoiseMode:
         params = _params(mode, n)
-        projector = _projector("simplex", d)
+        projector = projector_for("simplex", d)
         objective = sphere(np.full(d, 0.25))
         per_step = runs * (d if mode is NoiseMode.COMMON else n * d)
         assert diagnostics._NOISE_CELLS // per_step < horizon
         report = decay_experiment(objective, projector, params, runs, horizon, seed)
-        pair, cons_sq, _ = _per_run_reference(objective, projector, params, runs, horizon, seed)
+        pair, cons_sq, _ = oracles.decay(objective, projector, params, runs, horizon, seed)
         assert np.array_equal(report.mean_pairwise_sq, pair)
         assert np.array_equal(report.mean_consensus_sq, cons_sq)

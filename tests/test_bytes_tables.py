@@ -88,9 +88,9 @@ def test_table_rows_are_the_bytes_of_the_str_renderer(shape):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_write_csv_writes_the_bytes_of_the_str_renderer(tmp_path, monkeypatch, cap, shape,
+def test_write_csv_writes_the_bytes_of_the_str_renderer(tmp_path, monkeypatch, cap, cpus, shape,
                                                           workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cpus(2)
     cap(workers)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())

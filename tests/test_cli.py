@@ -223,6 +223,20 @@ def test_ingest_reports_the_offending_row(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("date,A\n20200101,1\n20200102,2\n", "error: row 1: bad date '20200101'"),
+    ("date,A\n2020-W01-1,1\n2020-W01-2,2\n", "error: row 1: bad date '2020-W01-1'"),
+    # The same day twice, in two spellings.
+    ("date,A\n2020-01-01,1\n20200101,2\n", "error: row 2: bad date '20200101'"),
+])
+def test_ingest_reads_only_yyyy_mm_dd_dates(tmp_path, capsys, text, line):
+    # Python 3.11's date.fromisoformat also reads compact and week dates; 3.10 does not.
+    prices = tmp_path / "prices.csv"
+    prices.write_text(text)
+    assert main(["ingest", str(prices), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("first, second", [("1e-308", "1e308"), ("1e308", "1e-308")])
 def test_a_price_ratio_out_of_range_is_one_error_line(tmp_path, capsys, first, second):
     # The ratio overflows, or underflows to 0 and its log is -inf.

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt import (
-    CboParams,
     Ensemble,
     Objective,
     box,
@@ -28,12 +27,7 @@ from cbopt.core import (
     write_trace_csv,
 )
 from cbopt.errors import ConfigurationError, NumericDomainError
-
-
-def params(**kw):
-    base = dict(lam=1.0, sigma=0.5, beta=100.0, h=0.1, n_particles=8)
-    base.update(kw)
-    return CboParams(**base)
+from conftest import params
 
 
 # ---------------------------------------------------------------- parameters

@@ -22,9 +22,10 @@ DIM = 6000  # with 100 particles a (100, 6000) kernel is five row blocks
 
 
 @pytest.fixture
-def spawned(monkeypatch):
+def spawned(monkeypatch, cpus):
     """Names of the threads started, the most threads alive at once, and the
     number of forks, on a host that reports four usable CPUs."""
+    cpus(4)
     seen = {"threads": [], "peak": 1, "forks": 0}
     real_start, real_fork = threading.Thread.start, os.fork
 
@@ -39,8 +40,6 @@ def spawned(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return seen
 
 
@@ -118,8 +117,8 @@ def test_two_workers_keep_a_decay_stack_at_two_threads(tmp_path, spawned, stack)
     (["--assets", "0", "--workers", "1"], [1], 1),  # demo_market rejects 0 assets
     (["--workers", "0"], [], 1),  # rejected before the command runs
 ])
-def test_the_cap_is_lifted_when_main_returns(tmp_path, monkeypatch, argv, during, status):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+def test_the_cap_is_lifted_when_main_returns(tmp_path, monkeypatch, cpus, argv, during, status):
+    cpus(3)
     seen, real = [], market.demo_market
 
     def demo_market(assets):

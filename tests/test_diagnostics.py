@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt import (
-    CboParams,
     Ensemble,
     MarketStats,
     box,
@@ -29,12 +28,7 @@ from cbopt.diagnostics import (
 )
 from cbopt.errors import ConfigurationError, NumericDomainError
 from cbopt.metaio import _row_sq
-
-
-def params(**kw):
-    base = dict(lam=1.0, sigma=0.5, beta=100.0, h=0.1, n_particles=8)
-    base.update(kw)
-    return CboParams(**base)
+from conftest import params
 
 
 # ------------------------------------------------------------ param checking

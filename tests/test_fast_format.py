@@ -7,7 +7,6 @@ each of its case boundaries.
 """
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -150,10 +149,9 @@ def test_several_kernel_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, max(2, usable_cpus())])
-def test_write_csv_matches_repr_for_every_worker_count(tmp_path, monkeypatch, cap, workers):
+def test_write_csv_matches_repr_for_every_worker_count(tmp_path, cap, cpus, workers):
     if workers > 1:  # let any host fork: the bytes must not depend on it
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                            raising=False)
+        cpus(workers)
     cap(workers)
     rng = np.random.default_rng(11)
     rows = 3 * metaio._PIECE_CELLS // 6 + 17

@@ -1,11 +1,13 @@
 """The BLAS quadratic form, the row-wise writers and the consensus weights'
-minimum against the code they replaced, which is kept here as the reference."""
+minimum against the code they replaced, which is kept here (the consensus
+in ``oracles``) as the reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cbopt.cli import _SVG_CHUNK, _svg_pieces
 from cbopt.core import (
     Ensemble, RunTrace, TraceRecord, consensus_point, trace_csv_header, write_trace_csv,
@@ -311,13 +313,6 @@ def test_mean_has_the_bits_of_np_mean(shape, axis, keepdims):
 # ------------------------------------------------------------ consensus
 
 
-def consensus_reference(ens, beta):
-    """``consensus_point`` with the per-run minimum it took before."""
-    values = ens.objective_values
-    w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
-    return np.matmul(w[..., None, :], ens.positions)[..., 0, :] / w.sum(-1)[..., None]
-
-
 TIES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -2.5]
 
 
@@ -332,7 +327,7 @@ def test_consensus_keeps_the_bits_of_the_per_run_minimum(runs, n, batched, seed,
                       rng.standard_normal(lead + (n,)))
     ens = Ensemble(rng.standard_normal(lead + (n, 3)), values)
     got = consensus_point(ens, beta)
-    assert np.array_equal(got.view(np.uint64), consensus_reference(ens, beta).view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), oracles.consensus(ens, beta).view(np.uint64))
     # The minimum itself: the same value, and the same bits unless it is a zero.
     low = np.minimum.reduce(values.T.copy())[..., None]
     want = values.min(axis=-1, keepdims=True)
@@ -353,4 +348,4 @@ def test_consensus_keeps_its_bits_when_the_minimum_is_a_signed_zero(runs, n, bet
     ens = Ensemble(rng.standard_normal((runs, n, 4)), values)
     for e in (ens, Ensemble(ens.positions[0], values[0])):
         got = consensus_point(e, beta)
-        assert np.array_equal(got.view(np.uint64), consensus_reference(e, beta).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), oracles.consensus(e, beta).view(np.uint64))

@@ -8,7 +8,6 @@ exists must neither escape nor leave the child unreaped.
 """
 
 import os
-import signal
 import warnings
 
 import numpy as np
@@ -17,24 +16,15 @@ import pytest
 from cbopt import metaio
 from cbopt.cli import main
 from cbopt.core import RunTrace, TraceRecord, write_trace_csv
+from conftest import no_children_left
+
+pytestmark = pytest.mark.usefixtures("deadline")
 
 D = 3000  # a trace row holds 2 * D + 5 cells; 40 rows are several pieces
 
 
-@pytest.fixture(autouse=True)
-def deadline():
-    def expire(signum, frame):
-        raise TimeoutError("a forked writer did not finish within 120 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.fixture
-def warning_fork(monkeypatch):
+def warning_fork(monkeypatch, cpus):
     """``os.fork`` that warns in the parent the way Python 3.12 does; four
     usable CPUs are reported so any host forks."""
     calls = []
@@ -49,17 +39,8 @@ def warning_fork(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cpus(4)
     return calls
-
-
-def no_children_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def trace_of(n: int) -> RunTrace:

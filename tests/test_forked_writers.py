@@ -9,7 +9,6 @@ of stalling the suite.
 """
 
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -21,6 +20,9 @@ from cbopt import metaio
 from cbopt.cli import main
 from cbopt.core import RunTrace, TraceRecord, write_trace_csv
 from cbopt.market import FrontierCloud, format_stats, write_frontier_csv
+from conftest import no_children_left
+
+pytestmark = pytest.mark.usefixtures("deadline")
 
 PIECE = metaio._PIECE_CELLS
 D = 4  # assets; a frontier row has D + 3 cells
@@ -28,20 +30,8 @@ PIECE_ROWS = PIECE // (D + 3)
 SPECIAL = np.array([-0.0, 5e-324, 1e16, 0.0, -5e-324, -1e16, 9.999e-5, 1e-5])
 
 
-@pytest.fixture(autouse=True)
-def deadline():
-    def expire(signum, frame):
-        raise TimeoutError("a forked writer did not finish within 120 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.fixture
-def forks(monkeypatch):
+def forks(monkeypatch, cpus):
     """Count the real forks; report four usable CPUs so any host forks."""
     calls = []
     real_fork = os.fork
@@ -51,17 +41,8 @@ def forks(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cpus(4)
     return calls
-
-
-def no_children_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def cells(rng, shape) -> np.ndarray:
@@ -189,11 +170,11 @@ def test_stopping_early_reaps_children_blocked_on_a_full_pipe(forks, cap):
     assert no_children_left()
 
 
-def test_without_fork_the_same_bytes_come_from_one_process(tmp_path, monkeypatch, cap):
+def test_without_fork_the_same_bytes_come_from_one_process(tmp_path, monkeypatch, cap, cpus):
     cloud = cloud_of(3 * PIECE_ROWS + 1)
     cap(1)
     write_frontier_csv(cloud, tmp_path / "one.csv")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    cpus(4)
     monkeypatch.delattr(os, "fork")
     cap(3)
     write_frontier_csv(cloud, tmp_path / "w3.csv")
@@ -218,10 +199,10 @@ def test_nothing_forks_while_another_thread_runs(tmp_path, forks, cap):
     assert (tmp_path / "w3.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
-def test_processes_are_capped_at_the_usable_cpus(tmp_path, forks, cap, monkeypatch):
+def test_processes_are_capped_at_the_usable_cpus(tmp_path, forks, cap, cpus):
     # 4 pieces bound the forks even if the cap were lost; a --workers above
     # the host's CPUs does not raise it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cpus(2)
     cap(8)
     assert metaio.usable_cpus() == 2
     write_frontier_csv(cloud_of(4 * PIECE_ROWS), tmp_path / "x.csv")

@@ -9,41 +9,20 @@ rows.  Also here: the checks on ``out``, the ball's rows whose sum of squares
 overflows or underflows, and the memory a step and a start allocate.
 """
 
-import contextlib
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cbopt import CboParams, Objective, ball, box, core, init_ensemble, metaio, rastrigin, run
 from cbopt import simplex, sphere
 from cbopt.errors import ConfigurationError
+from conftest import assert_same_bits, no_warnings
 
 EPS = np.finfo(float).eps
-
-
-def bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
-def assert_same_bits(got, want):
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(bits(got), bits(want))
-
-
-@contextlib.contextmanager
-def blocks(cells: int, cpus: int):
-    """Row blocks of about ``cells`` cells, shared by ``cpus`` threads."""
-    saved = metaio._BLOCK_CELLS, metaio.usable_cpus
-    metaio._BLOCK_CELLS, metaio.usable_cpus = cells, lambda: cpus
-    try:
-        yield
-    finally:
-        metaio._BLOCK_CELLS, metaio.usable_cpus = saved
 
 
 def values(seed, shape) -> np.ndarray:
@@ -111,14 +90,17 @@ def test_redone_simplex_rows_are_taken_before_out_is_written(d, m, monkeypatch):
     assert np.all(got >= 0) and np.all(np.abs(got.sum(axis=1) - 1) <= 1e-10)
 
 
-@settings(max_examples=30, deadline=None)
+# Each example sets the block size and the CPU count it reports itself.
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(1, 12), st.integers(1, 60), seeds, st.sampled_from([7, 30, 50]))
-def test_the_threaded_ball_projects_in_place(d, m, seed, cells):
+def test_the_threaded_ball_projects_in_place(block_cells, cpus, d, m, seed, cells):
     rng = np.random.default_rng(seed)
     proj = ball(rng.standard_normal(d), float(rng.uniform(0.1, 10.0)))
     vs = values(seed, (4 * max(1, cells // d) + m, d))  # four row blocks or more
-    with blocks(cells, 3):
-        assert_in_place(proj, vs)
+    block_cells(cells)
+    cpus(3)
+    assert_in_place(proj, vs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,13 +162,6 @@ def test_out_may_be_another_view_of_the_input_or_a_separate_array(proj):
 # ------------------------------------------------- the ball at extreme scales
 
 
-@contextlib.contextmanager
-def no_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
-
 def test_a_row_whose_squares_overflow_lands_on_the_sphere():
     with no_warnings():
         got = ball([0.0, 0.0], 1.0).project([1e200, 1e200])
@@ -217,7 +192,7 @@ def test_a_row_whose_deviation_overflows_is_moved_along_its_halves(v, in_place):
     assert np.allclose(got[0], want, rtol=EPS, atol=0)
 
 
-def test_rows_that_do_not_overflow_keep_their_bits_beside_rows_that_do():
+def test_rows_that_do_not_overflow_keep_their_bits_beside_rows_that_do(block_cells, cpus):
     c = np.array([-1e308, 0.0, 1.0])
     rng = np.random.default_rng(3)
     vs = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-3, 308, size=(40, 1))
@@ -225,7 +200,9 @@ def test_rows_that_do_not_overflow_keep_their_bits_beside_rows_that_do():
     plain = np.ones(40, bool)
     plain[::5] = False
     want = ball(c, 2.0).project_rows(vs[plain])
-    with blocks(6, 3), no_warnings():  # rows of both kinds in most of the threads' blocks
+    block_cells(6)  # rows of both kinds in most of the threads' blocks
+    cpus(3)
+    with no_warnings():
         got = ball(c, 2.0).project_rows(vs, out=vs)
     assert_same_bits(got[plain], want)
     assert np.all(np.isfinite(got))
@@ -314,10 +291,10 @@ def peak_above(call):
 
 
 @pytest.fixture
-def highdim(monkeypatch):
+def highdim(cpus):
     # One thread: each kernel's scratch is then one row block per buffer,
     # about 1 MB, whatever the host's CPU count.
-    monkeypatch.setattr(metaio, "usable_cpus", lambda: 1)
+    cpus(1)
     params = CboParams(lam=1.0, sigma=0.5, beta=10.0, h=0.05, n_particles=N, seed=3)
     return params, ball(np.zeros(D), 1.0), rastrigin(np.zeros(D))
 

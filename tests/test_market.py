@@ -1,3 +1,4 @@
+import datetime
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from cbopt.errors import (
 from cbopt.market import (
     _FRONTIER_CHUNK,
     _MAX_DEMO_CELLS,
+    PriceSeries,
     ReturnsSeries,
     format_prices,
     format_stats,
@@ -76,6 +78,14 @@ def test_parse_prices_errors_name_the_data_row(text, row, needle):
     with pytest.raises(IngestionError, match=needle) as exc:
         parse_prices(text)
     assert exc.value.row == row
+
+
+@pytest.mark.parametrize("dates", [("20200101", "20200102"), ("2020-W01-1", "2020-W01-2"),
+                                   ("2020-01-01", "20200102"), ("2020-01-01", "2020-13-01"),
+                                   (datetime.date(2020, 1, 1), datetime.date(2020, 1, 2))])
+def test_a_price_series_takes_only_yyyy_mm_dd_dates(dates):
+    with pytest.raises(ConfigurationError, match="YYYY-MM-DD"):
+        PriceSeries(dates, np.ones((2, 1)), ("A",))
 
 
 def test_parse_prices_structural_errors():

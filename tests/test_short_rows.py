@@ -18,23 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from cbopt import CboParams, Ensemble, NoiseMode, core, metaio, predictor_step, simplex
 from cbopt.core import _center_of_mass, mean_pairwise_sq
 from cbopt.metaio import _row_sq
+from conftest import assert_same_bits
 
 SHORT = range(1, metaio._SHORT_ROW)
 # Rows the threshold rule redoes: a largest entry of 2**53 or more, or
 # partial sums that overflow.
 REDO = [[1e16, 0.0, 0.0], [2.0**53 + 2, 0.0, 0.0], [-1e308, -1e308, 5.0]]
-
-
-def bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
-def assert_same_bits(got, want):
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(bits(got), bits(want))
 
 
 def rows(seed, m, d, redo=True) -> np.ndarray:
@@ -154,10 +147,8 @@ def test_row_sq_keeps_the_row_sum_bits(d, shape):
     pts *= 10.0 ** rng.integers(-8, 9, pts.shape)
     center = rng.standard_normal(d)
     eta = rng.standard_normal(pts.shape)
-    t = pts - center
-    assert_same_bits(_row_sq(pts, center), (t * t).sum(axis=-1))
-    p = t * eta
-    assert_same_bits(_row_sq(pts, center, eta), (p * p).sum(axis=-1))
+    assert_same_bits(_row_sq(pts, center), oracles.row_sq(pts, center))
+    assert_same_bits(_row_sq(pts, center, eta), oracles.row_sq(pts, center, eta))
 
 
 def test_rows_of_no_values_sum_to_zero():
@@ -177,20 +168,18 @@ def test_the_center_of_mass_keeps_the_reduction_bits(d, runs, n):
     assert_same_bits(_center_of_mass(pos), want)
     assert_same_bits(_center_of_mass(pos[0]), want[0])
     if n > 1:
-        dev = pos - want
-        dev *= dev
-        assert_same_bits(mean_pairwise_sq(pos), 2.0 * dev.reshape(runs, -1).sum(-1) / (n - 1))
+        assert_same_bits(mean_pairwise_sq(pos), oracles.pairwise_sq(pos))
 
 
 @pytest.mark.parametrize("d", [1, 4, 7, 8])
 @pytest.mark.parametrize("runs, n", [(200, 8), (3, 30), (5, 2)])
 @pytest.mark.parametrize("cells", [None, 40])  # None: one block; 40: threaded blocks
-def test_expanded_run_operands_keep_the_broadcast_bits(d, runs, n, cells, monkeypatch):
+def test_expanded_run_operands_keep_the_broadcast_bits(block_cells, cpus, monkeypatch, d, runs,
+                                                       n, cells):
     # Rows shorter than _SHORT_ROW repeat each run's (1, d) operand row to
     # its n particles before the ufunc; 8 values keep the broadcast.
-    if cells is not None:
-        monkeypatch.setattr(metaio, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(metaio, "usable_cpus", lambda: 3)
+    block_cells(cells)
+    cpus(1 if cells is None else 3)
     expanded = []
     part = metaio._part
 
@@ -205,15 +194,11 @@ def test_expanded_run_operands_keep_the_broadcast_bits(d, runs, n, cells, monkey
     pos = rng.standard_normal((runs, n, d)) * 10.0 ** rng.integers(-8, 9, (runs, n, d))
     cons = rng.standard_normal((runs, d))
     eta = rng.standard_normal((runs, d))
-    t = pos - cons[:, None, :]
-    assert_same_bits(_row_sq(pos, cons[:, None, :]), (t * t).sum(axis=-1))
+    assert_same_bits(_row_sq(pos, cons[:, None, :]), oracles.row_sq(pos, cons[:, None, :]))
     params = CboParams(lam=1.0, sigma=0.7, beta=1.0, h=0.1, n_particles=n,
                        noise_mode=NoiseMode.COMMON)
-    drift, spread = params.lam * params.h, params.sigma * np.sqrt(params.h)
-    want = pos - drift * t + spread * t * eta[:, None, :]
-    assert_same_bits(predictor_step(Ensemble(pos, np.zeros((runs, n))), cons, params, eta), want)
-    com = np.add.reduce(pos, axis=-2, keepdims=True) / n
-    dev = pos - com
-    dev *= dev
-    assert_same_bits(mean_pairwise_sq(pos), 2.0 * dev.reshape(runs, -1).sum(-1) / (n - 1))
+    ens = Ensemble(pos, np.zeros((runs, n)))
+    assert_same_bits(predictor_step(ens, cons, params, eta),
+                     oracles.predictor(ens, cons, params, eta))
+    assert_same_bits(mean_pairwise_sq(pos), oracles.pairwise_sq(pos))
     assert any(expanded) == (d < metaio._SHORT_ROW)

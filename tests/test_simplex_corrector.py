@@ -1,8 +1,8 @@
 """The row-blocked simplex corrector against the expression it replaced.
 
 ``SimplexProjector.project_rows`` sorts and thresholds its rows in serial
-blocks of about ``metaio._BLOCK_CELLS // 4`` cells.  ``project_reference``
-below is the whole-array expression it replaced, verbatim; every row the
+blocks of about ``metaio._BLOCK_CELLS // 4`` cells.  ``oracles.simplex``
+is the whole-array expression it replaced, verbatim; every row the
 rule keeps (``max(|u_1|, |theta|)`` below the projector's bound for the
 column of ``theta``) must keep its bits on every block size.  The other
 rows, which the old expression could project off the simplex, are redone
@@ -10,52 +10,19 @@ after subtracting the row maximum; those tests check membership at the
 default tolerance and permutation invariance instead of bits.
 """
 
-import contextlib
-import warnings
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from cbopt import metaio, simplex
 from cbopt.cli import main
 from cbopt.metaio import parse_metadata, parse_vector
+from conftest import assert_same_bits, no_warnings
 
 EPS = np.finfo(float).eps
-
-
-@contextlib.contextmanager
-def block_cells(cells: int):
-    saved = metaio._BLOCK_CELLS
-    metaio._BLOCK_CELLS = cells
-    try:
-        yield
-    finally:
-        metaio._BLOCK_CELLS = saved
-
-
-def bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
-def assert_same_bits(got, want):
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(bits(got), bits(want))
-
-
-def project_reference(vs):
-    """The simplex projection before row blocking, verbatim."""
-    vs = np.asarray(vs, dtype=float)
-    dim = vs.shape[1]
-    u = np.sort(vs, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, dim + 1, dtype=float)
-    valid = u - (css - 1.0) / ks > 0.0
-    k_idx = dim - 1 - np.argmax(valid[:, ::-1], axis=1)
-    theta = (css[np.arange(len(vs)), k_idx] - 1.0) / (k_idx + 1.0)
-    return np.maximum(vs - theta[:, None], 0.0)
 
 
 def rows(seed, shape) -> np.ndarray:
@@ -92,23 +59,22 @@ def test_the_shapes_are_multi_and_one_block():
 def test_blocked_corrector_matches_the_reference_bitwise(shape, seed):
     vs = rows((seed, *shape), shape)
     before = vs.copy()
-    want = project_reference(vs)
+    want = oracles.simplex(vs)
     assert_same_bits(simplex(shape[1]).project_rows(vs), want)
     assert_same_bits(vs, before)
 
 
 @pytest.mark.parametrize("cells", [4, 20, 64, 1000])
-def test_blocked_corrector_bits_do_not_depend_on_the_block_size(cells):
+def test_blocked_corrector_bits_do_not_depend_on_the_block_size(block_cells, cells):
     vs = rows(cells, (300, 7))
-    with block_cells(cells):
-        got = simplex(7).project_rows(vs)
-    assert_same_bits(got, project_reference(vs))
+    block_cells(cells)
+    assert_same_bits(simplex(7).project_rows(vs), oracles.simplex(vs))
 
 
 def test_all_zero_and_all_tied_rows_match_the_reference():
     vs = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.5, 0.5, 0.5],
                    [-2.0, -2.0, -2.0], [0.1, 0.1, 0.2], [1.0, 0.0, -0.0]])
-    assert_same_bits(simplex(3).project_rows(vs), project_reference(vs))
+    assert_same_bits(simplex(3).project_rows(vs), oracles.simplex(vs))
 
 
 def test_empty_input_gives_an_empty_output():
@@ -122,15 +88,16 @@ def below_the_bound(d):
     return st.floats(-top, top, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=200, deadline=None)
+# Each example sets the block size itself.
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(1, 12).flatmap(
            lambda d: arrays(np.float64, st.tuples(st.integers(1, 40), st.just(d)),
                             elements=below_the_bound(d))),
        st.integers(1, 200))
-def test_blocked_corrector_matches_the_reference_on_moderate_rows(vs, cells):
-    with block_cells(cells):
-        got = simplex(vs.shape[1]).project_rows(vs)
-    assert_same_bits(got, project_reference(vs))
+def test_blocked_corrector_matches_the_reference_on_moderate_rows(block_cells, vs, cells):
+    block_cells(cells)
+    assert_same_bits(simplex(vs.shape[1]).project_rows(vs), oracles.simplex(vs))
 
 
 # --- rows the old expression projected off the simplex ---
@@ -145,8 +112,7 @@ def test_blocked_corrector_matches_the_reference_on_moderate_rows(vs, cells):
     ([1.7e308, 1.7e308, 1.7e308], [1 / 3, 1 / 3, 1 / 3]),
 ])
 def test_huge_rows_land_on_the_simplex_without_a_warning(v, want):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with no_warnings():
         got = simplex(3).project(np.array(v))
     np.testing.assert_allclose(got, want, rtol=0, atol=4 * EPS)
     assert simplex(3).contains(got)
@@ -157,7 +123,7 @@ def test_only_the_huge_rows_of_a_block_change():
     huge = np.array([[1e16, 0.0, 0.0], [-1e308, -1e308, 5.0]])
     mixed = np.concatenate([vs[:20], huge, vs[20:]])
     got = simplex(3).project_rows(mixed)
-    assert_same_bits(np.delete(got, [20, 21], axis=0), project_reference(vs))
+    assert_same_bits(np.delete(got, [20, 21], axis=0), oracles.simplex(vs))
     assert_same_bits(got[20:22], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -174,8 +140,7 @@ huge = st.one_of(
        st.randoms(use_true_random=False))
 def test_projection_of_any_finite_row_is_on_the_simplex_and_permutation_invariant(v, rnd):
     p = simplex(len(v))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with no_warnings():
         got = p.project(v)
         perm = np.array(rnd.sample(range(len(v)), len(v)))
         via_perm = np.empty_like(got)
@@ -200,8 +165,7 @@ def near_tie(d, c, seed):
 def test_near_tied_rows_of_any_magnitude_land_on_the_simplex(d, size, sign, seed):
     p = simplex(d)
     v = near_tie(d, sign * size, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with no_warnings():
         got = p.project(v)
     assert np.all(np.isfinite(got))
     assert p.contains(got)

@@ -1,198 +1,48 @@
 """The one step kernel against the loops it replaced, and the guards it keeps.
 
-``run``, ``cbo_step`` and ``decay_experiment`` now share ``core._step``,
-whose new ``Ensemble`` checks each step; each of a step's kernels computes
-the deviation ``w - c`` again in each of its row blocks.  ``run_reference``,
-``cbo_step_reference`` and ``decay_reference`` below are the loops before
-that change, frozen, with every kernel written as its whole-array
-expression; every output must keep its bits.
+``run``, ``cbo_step`` and ``decay_experiment`` share ``core._step`` (the
+decay stack on ranges of its runs), whose new ``Ensemble`` checks each
+step; each of a step's kernels computes the deviation ``w - c`` again in
+each of its row blocks.  ``oracles.run``, ``oracles.cbo_step`` and
+``oracles.decay`` are the loops before that change, frozen, with every
+kernel written as its whole-array expression; every output must keep its
+bits on every block size and reported CPU count.  Each reference is built
+once per case, and the fast path is run against it on each block size or
+CPU count of the case.
 """
 
-import contextlib
 import dataclasses
 import math
-import os
-import threading
-import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from cbopt import (
     CboParams,
-    Ensemble,
     MarketStats,
     NoiseMode,
     Objective,
-    ball,
     box,
     cbo_step,
     decay_experiment,
-    draw_step_noise,
     init_ensemble,
-    mean_pairwise_sq,
     neg_sharpe,
-    rastrigin,
     run,
     simplex,
     sphere,
 )
-from cbopt import core, diagnostics, market, metaio, projections
+from cbopt import core, market, metaio, projections
 from cbopt.cli import main
 from cbopt.errors import NumericDomainError
-
-
-@contextlib.contextmanager
-def block_cells(cells):
-    saved = metaio._BLOCK_CELLS
-    metaio._BLOCK_CELLS = saved if cells is None else cells
-    try:
-        yield
-    finally:
-        metaio._BLOCK_CELLS = saved
-
-
-def bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
-def assert_same_bits(got, want):
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(bits(got), bits(want))
-
-
-# ------------------------------------------------------ the frozen loops
-
-
-def consensus(ens, beta):
-    values = ens.objective_values
-    w = np.exp(-beta * (values - values.min(axis=-1, keepdims=True)))
-    return np.matmul(w[..., None, :], ens.positions)[..., 0, :] / w.sum(-1)[..., None]
-
-
-def norms(pos, cons, eta=None):
-    t = pos - cons
-    if eta is not None:
-        t = t * eta
-    return np.sqrt((t * t).sum(axis=-1))
-
-
-def predict(pos, cons, params, eta):
-    dev = pos - cons
-    return pos - params.lam * params.h * dev + params.sigma * math.sqrt(params.h) * dev * eta
-
-
-def advance(ens, cons, params, projector, objective, eta):
-    """predictor -> corrector -> cache refresh, as ``core._advance`` did."""
-    if ens.positions.ndim == 3:
-        cons = cons[:, None, :]
-        eta = eta if params.noise_mode is NoiseMode.INDEPENDENT else eta[:, None, :]
-    raw = predict(ens.positions, cons, params, eta)
-    positions = projector.project_rows(raw.reshape(-1, raw.shape[-1]))
-    values = objective.eval_many(positions)
-    assert np.all(np.isfinite(values))
-    return Ensemble(positions.reshape(raw.shape), values.reshape(raw.shape[:-1]),
-                    ens.iteration + 1)
-
-
-def record(ens, cons, residual, best, a_n, b_n):
-    com = ens.positions.mean(axis=0)
-    return (ens.iteration, cons, mean_pairwise_sq(ens.positions), residual, best, com, a_n, b_n)
-
-
-def run_reference(objective, projector, params, init_mean=None, init_std=1.0, thin=1):
-    init_ss, noise_ss = np.random.SeedSequence(params.seed).spawn(2)
-    ens = init_ensemble(projector.dim, params, init_mean, init_std, projector, objective,
-                        seed=init_ss)
-    rng = np.random.default_rng(noise_ss)
-    records = []
-    a_sum = b_sum = 0.0
-    best_value = math.inf
-    best_point = ens.positions[0].copy()
-    while True:
-        cons = consensus(ens, params.beta)
-        pos = ens.positions
-        dist = norms(pos, cons)
-        residual = float(dist.max())
-        a_sum += float(dist.mean())
-        i = int(np.argmin(ens.objective_values))
-        current = float(ens.objective_values[i])
-        if current < best_value:
-            best_value = current
-            best_point = pos[i].copy()
-        stop = residual < params.residual_tol or ens.iteration >= params.max_iters
-        if ens.iteration % thin == 0 or stop:
-            records.append(record(ens, cons, residual, current, a_sum, b_sum))
-        if stop:
-            break
-        eta = draw_step_noise(params, ens.dim, rng)
-        ens = advance(ens, cons, params, projector, objective, eta)
-        b_sum += float(norms(pos, cons, eta).mean())
-    return ens, records, projector.project(cons), best_point, best_value
-
-
-def cbo_step_reference(ens, params, projector, objective, rng):
-    cons = consensus(ens, params.beta)
-    dist = norms(ens.positions, cons)
-    rec = record(ens, cons, float(dist.max()), float(ens.objective_values.min()),
-                 float(dist.mean()), 0.0)
-    eta = draw_step_noise(params, ens.dim, rng)
-    return advance(ens, cons, params, projector, objective, eta), rec
-
-
-def decay_reference(objective, projector, params, runs, horizon, seed):
-    """``(mean pairwise, mean consensus)`` squared distances per iteration."""
-    dim = projector.dim
-    starts = [init_ensemble(dim, params, None, 1.0, projector, objective, seed=s)
-              for s, _ in (child.spawn(2) for child in np.random.SeedSequence(seed).spawn(runs))]
-    ens = Ensemble(np.stack([e.positions for e in starts]),
-                   np.stack([e.objective_values for e in starts]))
-    rngs = [np.random.default_rng(n) for _, n in
-            (child.spawn(2) for child in np.random.SeedSequence(seed).spawn(runs))]
-    step_cells = runs * (dim if params.noise_mode is NoiseMode.COMMON else params.n_particles * dim)
-    block_steps = max(1, diagnostics._NOISE_CELLS // step_cells)
-    pair = np.empty((runs, horizon + 1))
-    cons_sq = np.empty((runs, horizon + 1))
-    for n in range(horizon + 1):
-        pos = ens.positions
-        pair[:, n] = mean_pairwise_sq(pos)
-        cons = consensus(ens, params.beta)
-        dev = pos - cons[:, None, :]
-        cons_sq[:, n] = (dev * dev).sum(axis=-1).mean(axis=-1)
-        if n < horizon:
-            if n % block_steps == 0:
-                block = draw_step_noise(params, dim, rngs, steps=min(block_steps, horizon - n))
-            ens = advance(ens, cons, params, projector, objective, block[:, n % block_steps])
-    return np.add.accumulate(pair)[-1] / runs, np.add.accumulate(cons_sq)[-1] / runs
-
-
-# ------------------------------------------------------------- the cases
-
-
-def projector_for(kind: str, d: int):
-    if kind == "simplex":
-        return simplex(d)
-    if kind == "box":
-        return box(np.full(d, -0.3), np.full(d, 0.8))
-    if kind == "unbounded":
-        return box(np.full(d, -np.inf), np.full(d, np.inf))
-    return ball(np.full(d, 0.2), 0.9)
-
-
-def objective_for(kind: str, d: int):
-    center = np.linspace(-0.4, 0.6, d)
-    return rastrigin(center, 0.5) if kind == "ball" else sphere(center)
-
+from conftest import (
+    assert_same_bits, no_warnings, objective_for, params_for, projector_for,
+)
 
 KINDS = ["simplex", "box", "unbounded", "ball"]
 # (N, d, block cells): the default block, and blocks small enough to give
 # many row blocks (threaded on more than one usable CPU) at small shapes.
-SHAPES = [(2, 3, None), (8, 4, None), (8, 4, 12), (100, 20, None), (100, 20, 300)]
-
-
-def params_for(n, mode, **kw):
-    kw = {"seed": 11, "max_iters": 40, **kw}
-    return CboParams(lam=1.0, sigma=0.7, beta=30.0, h=0.1, n_particles=n, noise_mode=mode, **kw)
+SHAPES = [(2, 3, [None]), (8, 4, [None, 12]), (100, 20, [None, 300])]
 
 
 def assert_same_run(got, want):
@@ -216,13 +66,13 @@ def assert_same_run(got, want):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", list(NoiseMode))
 @pytest.mark.parametrize("thin", [1, 7])
-def test_run_keeps_the_bits_of_the_old_loop(n, d, cells, kind, mode, thin):
+def test_run_keeps_the_bits_of_the_old_loop(block_cells, n, d, cells, kind, mode, thin):
     projector, objective = projector_for(kind, d), objective_for(kind, d)
     params = params_for(n, mode)
-    with block_cells(cells):
-        got = run(objective, projector, params, thin=thin)
-        want = run_reference(objective, projector, params, thin=thin)
-    assert_same_run(got, want)
+    want = oracles.run(objective, projector, params, thin=thin)
+    for c in cells:
+        block_cells(c)
+        assert_same_run(run(objective, projector, params, thin=thin), want)
 
 
 @pytest.mark.parametrize("mode", list(NoiseMode))
@@ -231,12 +81,12 @@ def test_run_with_tol_zero_stops_at_the_cap_with_the_old_bits(mode):
     projector, objective = simplex(4), sphere(np.array([0.1, 0.2, 0.3, 0.4]))
     got = run(objective, projector, params, thin=7)
     assert got.ensemble.iteration == 300
-    assert_same_run(got, run_reference(objective, projector, params, thin=7))
+    assert_same_run(got, oracles.run(objective, projector, params, thin=7))
 
 
 @pytest.mark.parametrize("kind", ["simplex", "unbounded", "ball"])
 @pytest.mark.parametrize("mode", list(NoiseMode))
-def test_run_on_a_multi_block_threaded_shape(kind, mode):
+def test_run_on_a_multi_block_threaded_shape(cpus, kind, mode):
     # (100, 6000) is five default row blocks, shared by threads when more
     # than one CPU is usable.
     n, d = 100, 6000
@@ -245,23 +95,27 @@ def test_run_on_a_multi_block_threaded_shape(kind, mode):
     assert len(blocks) > 1
     projector, objective = projector_for(kind, d), objective_for(kind, d)
     params = params_for(n, mode, max_iters=4)
-    assert_same_run(run(objective, projector, params), run_reference(objective, projector, params))
+    started = cpus(3)
+    assert_same_run(run(objective, projector, params), oracles.run(objective, projector, params))
+    assert started
 
 
 @pytest.mark.parametrize("n, d, cells", SHAPES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", list(NoiseMode))
-def test_cbo_step_keeps_the_bits_of_the_old_step(n, d, cells, kind, mode):
+def test_cbo_step_keeps_the_bits_of_the_old_step(block_cells, n, d, cells, kind, mode):
     projector, objective = projector_for(kind, d), objective_for(kind, d)
     params = params_for(n, mode)
     start = init_ensemble(d, params, None, 1.0, projector, objective)
-    with block_cells(cells):
-        ens = want_ens = start
-        rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(5):
+    want_ens, want_rng, want = start, np.random.default_rng(3), []
+    for _ in range(5):
+        want_ens, want_rec = oracles.cbo_step(want_ens, params, projector, objective, want_rng)
+        want.append((want_ens, want_rec))
+    for c in cells:
+        block_cells(c)
+        ens, rng = start, np.random.default_rng(3)
+        for want_ens, want_rec in want:
             ens, rec = cbo_step(ens, params, projector, objective, rng)
-            want_ens, want_rec = cbo_step_reference(want_ens, params, projector, objective,
-                                                    want_rng)
             assert_same_bits(ens.positions, want_ens.positions)
             assert_same_bits(ens.objective_values, want_ens.objective_values)
             assert ens.iteration == want_ens.iteration
@@ -274,94 +128,55 @@ def test_cbo_step_keeps_the_bits_of_the_old_step(n, d, cells, kind, mode):
                                                     objective).positions)
 
 
-DECAY_CASES = [(2, 3, 5, None), (8, 4, 200, None), (8, 4, 200, 40), (100, 20, 100, None)]
+# (N, d, runs, block cells, ranged) of decay stacks.  A ranged stack is cut
+# into two ranges of runs per usable CPU, so more than one CPU steps it on
+# threads: in (2, 3, 16, 4) each run is more than a whole block, the
+# (100, 20, 100) stack is the portfolio benchmark's shape, whose ranges hold
+# at least 16 runs (a quarter block), and in (8, 4, 31, 500) at least 3, so
+# 7 CPUs take ten ranges of 3 runs and one of 1.  The others run inline.
+DECAY_CASES = [(2, 3, 5, None, False), (8, 4, 200, None, False), (8, 4, 200, 40, True),
+               (2, 3, 16, 4, True), (100, 20, 100, None, True), (8, 4, 31, 500, True)]
 
 
-@pytest.mark.parametrize("n, d, runs, cells", DECAY_CASES)
+@pytest.mark.parametrize("n, d, runs, cells, ranged", DECAY_CASES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", list(NoiseMode))
-def test_decay_experiment_keeps_the_bits_of_the_old_loop(n, d, runs, cells, kind, mode):
+def test_decay_experiment_keeps_the_bits_of_the_old_loop_on_any_cpu_count(
+        block_cells, cpus, n, d, runs, cells, ranged, kind, mode):
     projector, objective = projector_for(kind, d), objective_for(kind, d)
     params = params_for(n, mode)
     horizon = 12
-    with block_cells(cells):
+    pair, cons_sq, var0 = oracles.decay(objective, projector, params, runs, horizon, seed=5)
+    block_cells(cells)
+    for k in (1, 2, 4, 7):
+        started = cpus(k)
         report = decay_experiment(objective, projector, params, runs, horizon, seed=5)
-        pair, cons_sq = decay_reference(objective, projector, params, runs, horizon, seed=5)
-    assert_same_bits(report.mean_pairwise_sq, pair)
-    assert_same_bits(report.mean_consensus_sq, cons_sq)
+        assert bool(started) == (ranged and k > 1)
+        assert_same_bits(report.mean_pairwise_sq, pair)
+        assert_same_bits(report.mean_consensus_sq, cons_sq)
+        assert report.initial_variance == var0
 
 
-# (N, d, runs, block cells) of stacks the decay experiment cuts into two
-# ranges of runs per usable CPU: in the second case each run is more than a
-# whole block, the third is the portfolio benchmark's shape, whose ranges
-# hold at least 16 runs (a quarter block), and in the last at least 3, so 7
-# CPUs take ten ranges of 3 runs and one of 1.
-RANGE_CASES = [(8, 4, 200, 40), (2, 3, 16, 4), (100, 20, 100, None), (8, 4, 31, 500)]
-
-
-@pytest.fixture
-def reported_cpus(monkeypatch):
-    """``reported_cpus(k)`` makes ``metaio.usable_cpus()`` report k CPUs; the
-    returned list collects the names of the threads started."""
-    started = []
-    real_start = threading.Thread.start
-
-    def start(self):
-        started.append(self.name)
-        real_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-
-    def report(k):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: k)
-        return started
-
-    return report
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4, 7])
-@pytest.mark.parametrize("n, d, runs, cells", RANGE_CASES)
-@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", list(NoiseMode))
-def test_decay_run_ranges_keep_the_bits_on_any_cpu_count(reported_cpus, cpus, n, d, runs,
-                                                         cells, kind, mode):
-    projector, objective = projector_for(kind, d), objective_for(kind, d)
-    params = params_for(n, mode)
-    horizon = 12
-    with block_cells(cells):
-        started = reported_cpus(cpus)
-        report = decay_experiment(objective, projector, params, runs, horizon, seed=5)
-        threaded = bool(started)
-        reported_cpus(1)
-        pair, cons_sq = decay_reference(objective, projector, params, runs, horizon, seed=5)
-    assert threaded == (cpus > 1)
-    assert_same_bits(report.mean_pairwise_sq, pair)
-    assert_same_bits(report.mean_consensus_sq, cons_sq)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-@pytest.mark.parametrize("mode", list(NoiseMode))
-def test_a_sharpe_stack_is_evaluated_whole(reported_cpus, cpus, mode):
+def test_a_sharpe_stack_is_evaluated_whole(cpus, mode):
     # BLAS may round a Sharpe row in a smaller block differently, so the
     # run ranges of this stack must not be evaluated one by one.
     objective = neg_sharpe(MarketStats(*market.demo_market(20)))
     params = params_for(100, mode)
-    reported_cpus(cpus)
-    report = decay_experiment(objective, simplex(20), params, 100, 12, seed=5)
-    reported_cpus(1)
-    pair, cons_sq = decay_reference(objective, simplex(20), params, 100, 12, seed=5)
-    assert_same_bits(report.mean_pairwise_sq, pair)
-    assert_same_bits(report.mean_consensus_sq, cons_sq)
+    pair, cons_sq, _ = oracles.decay(objective, simplex(20), params, 100, 12, seed=5)
+    for k in (1, 2, 4):
+        cpus(k)
+        report = decay_experiment(objective, simplex(20), params, 100, 12, seed=5)
+        assert_same_bits(report.mean_pairwise_sq, pair)
+        assert_same_bits(report.mean_consensus_sq, cons_sq)
 
 
-def test_the_portfolio_decay_stack_writes_the_same_bytes_on_one_worker(tmp_path,
-                                                                       reported_cpus):
+def test_the_portfolio_decay_stack_writes_the_same_bytes_on_one_worker(tmp_path, cpus):
     # 100 runs of (100, 20): seven run ranges of 16 runs on four reported CPUs.
     assert main(["synth", "--assets", "20", "--rows", "400", "--seed", "7",
                  "--out", str(tmp_path)]) == 0
     assert main(["ingest", str(tmp_path / "prices.csv"), "--out", str(tmp_path)]) == 0
-    started = reported_cpus(4)
+    started = cpus(4)
     trees = {}
     for name, extra in (("all", []), ("one", ["--workers", "1"])):
         started.clear()
@@ -407,14 +222,14 @@ class IgnoresOut:
         return self.inner.project(v)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_projector_that_ignores_out_gives_a_run_range_stack_its_rows(reported_cpus, cpus):
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_projector_that_ignores_out_gives_a_run_range_stack_its_rows(block_cells, cpus, k):
     params = params_for(8, NoiseMode.INDEPENDENT)
     objective = objective_for("simplex", 4)
-    reported_cpus(cpus)
-    with block_cells(40):  # two ranges of runs per reported CPU
-        want = decay_experiment(objective, simplex(4), params, 50, 6, seed=3)
-        got = decay_experiment(objective, IgnoresOut(4), params, 50, 6, seed=3)
+    cpus(k)
+    block_cells(40)  # two ranges of runs per reported CPU
+    want = decay_experiment(objective, simplex(4), params, 50, 6, seed=3)
+    got = decay_experiment(objective, IgnoresOut(4), params, 50, 6, seed=3)
     assert_same_bits(got.mean_pairwise_sq, want.mean_pairwise_sq)
     assert_same_bits(got.mean_consensus_sq, want.mean_consensus_sq)
 
@@ -427,7 +242,7 @@ def test_the_decay_stack_overwrites_no_array_a_projector_returned(mode):
     objective = objective_for("simplex", 4)
     projector = IgnoresOut(4)
     report = decay_experiment(objective, projector, params, 30, 6, seed=3)
-    pair, cons_sq = decay_reference(objective, simplex(4), params, 30, 6, seed=3)
+    pair, cons_sq, _ = oracles.decay(objective, simplex(4), params, 30, 6, seed=3)
     assert_same_bits(report.mean_pairwise_sq, pair)
     assert_same_bits(report.mean_consensus_sq, cons_sq)
     assert len(projector.returned) == 1 + 6  # the starts, then one call per step
@@ -438,13 +253,6 @@ def test_the_decay_stack_overwrites_no_array_a_projector_returned(mode):
 # Finite on any input, so only the scan of the projector's output can
 # notice what the projector returned.
 FLAT = Objective(lambda rows: np.zeros(len(rows)), "flat")
-
-
-@contextlib.contextmanager
-def no_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
 
 
 def test_a_projector_returning_nan_stops_run():

@@ -10,7 +10,6 @@ not grow with samples x assets.
 
 import contextlib
 import io
-import os
 import tracemalloc
 import warnings
 
@@ -37,13 +36,12 @@ def materialized(cloud):
     return FrontierCloud(cloud.weights, cloud.ret, cloud.risk, cloud.sharpe)
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("d", [1, 3, 20])
 @pytest.mark.parametrize("n", CLOUD_SIZES)
-def test_cli_frontier_csv_is_the_materialized_cloud(tmp_path, monkeypatch, cap, n, d, cpus):
+def test_cli_frontier_csv_is_the_materialized_cloud(tmp_path, cap, cpus, n, d, k):
     # three reported CPUs take the forked path for any cloud of three pieces
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cpus(k)
     out = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["frontier", "--stats", str(stats_file(tmp_path, d)), "--samples", str(n),
