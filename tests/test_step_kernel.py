@@ -6,12 +6,13 @@ step; each of a step's kernels computes the deviation ``w - c`` again in
 each of its row blocks.  ``oracles.run``, ``oracles.cbo_step`` and
 ``oracles.decay`` are the loops before that change, frozen, with every
 kernel written as its whole-array expression; every output must keep its
-bits on every block size and reported CPU count.  Each reference is built
-once per case, and the fast path is run against it on each block size or
-CPU count of the case.
+bits on every block size and reported CPU count.  The references depend
+on neither, so each is built once, by the first case that needs it, and
+shared by the cases that differ only in block size or CPU count.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ from conftest import (
 KINDS = ["simplex", "box", "unbounded", "ball"]
 # (N, d, block cells): the default block, and blocks small enough to give
 # many row blocks (threaded on more than one usable CPU) at small shapes.
-SHAPES = [(2, 3, [None]), (8, 4, [None, 12]), (100, 20, [None, 300])]
+SHAPES = [(2, 3, None), (8, 4, None), (8, 4, 12), (100, 20, None), (100, 20, 300)]
 
 
 def assert_same_run(got, want):
@@ -62,17 +63,46 @@ def assert_same_run(got, want):
         assert_same_bits(rec.center_of_mass, com)
 
 
+@functools.cache
+def run_reference(n, d, kind, mode, thin):
+    return oracles.run(objective_for(kind, d), projector_for(kind, d), params_for(n, mode),
+                       thin=thin)
+
+
+@functools.cache
+def cbo_step_reference(n, d, kind, mode):
+    """The start and the five ``(ensemble, record)`` steps after it."""
+    projector, objective = projector_for(kind, d), objective_for(kind, d)
+    params = params_for(n, mode)
+    start = init_ensemble(d, params, None, 1.0, projector, objective)
+    ens, rng, steps = start, np.random.default_rng(3), []
+    for _ in range(5):
+        ens, rec = oracles.cbo_step(ens, params, projector, objective, rng)
+        steps.append((ens, rec))
+    return start, steps
+
+
+@functools.cache
+def decay_reference(n, d, runs, kind, mode):
+    return oracles.decay(objective_for(kind, d), projector_for(kind, d), params_for(n, mode),
+                         runs, 12, seed=5)
+
+
+@functools.cache
+def sharpe_reference(mode):
+    objective = neg_sharpe(MarketStats(*market.demo_market(20)))
+    return oracles.decay(objective, simplex(20), params_for(100, mode), 100, 12, seed=5)
+
+
 @pytest.mark.parametrize("n, d, cells", SHAPES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", list(NoiseMode))
 @pytest.mark.parametrize("thin", [1, 7])
 def test_run_keeps_the_bits_of_the_old_loop(block_cells, n, d, cells, kind, mode, thin):
-    projector, objective = projector_for(kind, d), objective_for(kind, d)
-    params = params_for(n, mode)
-    want = oracles.run(objective, projector, params, thin=thin)
-    for c in cells:
-        block_cells(c)
-        assert_same_run(run(objective, projector, params, thin=thin), want)
+    want = run_reference(n, d, kind, mode, thin)
+    block_cells(cells)
+    got = run(objective_for(kind, d), projector_for(kind, d), params_for(n, mode), thin=thin)
+    assert_same_run(got, want)
 
 
 @pytest.mark.parametrize("mode", list(NoiseMode))
@@ -106,24 +136,19 @@ def test_run_on_a_multi_block_threaded_shape(cpus, kind, mode):
 def test_cbo_step_keeps_the_bits_of_the_old_step(block_cells, n, d, cells, kind, mode):
     projector, objective = projector_for(kind, d), objective_for(kind, d)
     params = params_for(n, mode)
-    start = init_ensemble(d, params, None, 1.0, projector, objective)
-    want_ens, want_rng, want = start, np.random.default_rng(3), []
-    for _ in range(5):
-        want_ens, want_rec = oracles.cbo_step(want_ens, params, projector, objective, want_rng)
-        want.append((want_ens, want_rec))
-    for c in cells:
-        block_cells(c)
-        ens, rng = start, np.random.default_rng(3)
-        for want_ens, want_rec in want:
-            ens, rec = cbo_step(ens, params, projector, objective, rng)
-            assert_same_bits(ens.positions, want_ens.positions)
-            assert_same_bits(ens.objective_values, want_ens.objective_values)
-            assert ens.iteration == want_ens.iteration
-            assert rec.iteration == want_rec[0]
-            assert_same_bits(rec.consensus, want_rec[1])
-            assert_same_bits([rec.dispersion, rec.residual, rec.best_value, rec.a_n, rec.b_n],
-                             list(want_rec[2:5]) + list(want_rec[6:]))
-            assert_same_bits(rec.center_of_mass, want_rec[5])
+    start, want = cbo_step_reference(n, d, kind, mode)
+    block_cells(cells)
+    ens, rng = start, np.random.default_rng(3)
+    for want_ens, want_rec in want:
+        ens, rec = cbo_step(ens, params, projector, objective, rng)
+        assert_same_bits(ens.positions, want_ens.positions)
+        assert_same_bits(ens.objective_values, want_ens.objective_values)
+        assert ens.iteration == want_ens.iteration
+        assert rec.iteration == want_rec[0]
+        assert_same_bits(rec.consensus, want_rec[1])
+        assert_same_bits([rec.dispersion, rec.residual, rec.best_value, rec.a_n, rec.b_n],
+                         list(want_rec[2:5]) + list(want_rec[6:]))
+        assert_same_bits(rec.center_of_mass, want_rec[5])
     assert_same_bits(start.positions, init_ensemble(d, params, None, 1.0, projector,
                                                     objective).positions)
 
@@ -138,37 +163,34 @@ DECAY_CASES = [(2, 3, 5, None, False), (8, 4, 200, None, False), (8, 4, 200, 40,
                (2, 3, 16, 4, True), (100, 20, 100, None, True), (8, 4, 31, 500, True)]
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 7])
 @pytest.mark.parametrize("n, d, runs, cells, ranged", DECAY_CASES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", list(NoiseMode))
 def test_decay_experiment_keeps_the_bits_of_the_old_loop_on_any_cpu_count(
-        block_cells, cpus, n, d, runs, cells, ranged, kind, mode):
-    projector, objective = projector_for(kind, d), objective_for(kind, d)
-    params = params_for(n, mode)
-    horizon = 12
-    pair, cons_sq, var0 = oracles.decay(objective, projector, params, runs, horizon, seed=5)
+        block_cells, cpus, k, n, d, runs, cells, ranged, kind, mode):
+    pair, cons_sq, var0 = decay_reference(n, d, runs, kind, mode)
     block_cells(cells)
-    for k in (1, 2, 4, 7):
-        started = cpus(k)
-        report = decay_experiment(objective, projector, params, runs, horizon, seed=5)
-        assert bool(started) == (ranged and k > 1)
-        assert_same_bits(report.mean_pairwise_sq, pair)
-        assert_same_bits(report.mean_consensus_sq, cons_sq)
-        assert report.initial_variance == var0
+    started = cpus(k)
+    report = decay_experiment(objective_for(kind, d), projector_for(kind, d),
+                              params_for(n, mode), runs, 12, seed=5)
+    assert bool(started) == (ranged and k > 1)
+    assert_same_bits(report.mean_pairwise_sq, pair)
+    assert_same_bits(report.mean_consensus_sq, cons_sq)
+    assert report.initial_variance == var0
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("mode", list(NoiseMode))
-def test_a_sharpe_stack_is_evaluated_whole(cpus, mode):
+def test_a_sharpe_stack_is_evaluated_whole(cpus, k, mode):
     # BLAS may round a Sharpe row in a smaller block differently, so the
     # run ranges of this stack must not be evaluated one by one.
+    pair, cons_sq, _ = sharpe_reference(mode)
+    cpus(k)
     objective = neg_sharpe(MarketStats(*market.demo_market(20)))
-    params = params_for(100, mode)
-    pair, cons_sq, _ = oracles.decay(objective, simplex(20), params, 100, 12, seed=5)
-    for k in (1, 2, 4):
-        cpus(k)
-        report = decay_experiment(objective, simplex(20), params, 100, 12, seed=5)
-        assert_same_bits(report.mean_pairwise_sq, pair)
-        assert_same_bits(report.mean_consensus_sq, cons_sq)
+    report = decay_experiment(objective, simplex(20), params_for(100, mode), 100, 12, seed=5)
+    assert_same_bits(report.mean_pairwise_sq, pair)
+    assert_same_bits(report.mean_consensus_sq, cons_sq)
 
 
 def test_the_portfolio_decay_stack_writes_the_same_bytes_on_one_worker(tmp_path, cpus):
